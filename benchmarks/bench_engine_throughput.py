@@ -6,10 +6,11 @@ Measures reverse-sampled paths/second on a synthetic benchmark graph for
   (per-step ``in_weights`` dict copy + linear scan), kept here as the fixed
   baseline the engine speedups are tracked against;
 * ``python`` -- :class:`repro.diffusion.engine.PythonEngine` (CSR + binary
-  search, bit-compatible with the seed sampler);
-* ``numpy`` -- :class:`repro.diffusion.engine.NumpyEngine` through the
-  legacy object interface (``sample_paths``: the columnar kernel plus full
-  :class:`TargetPath` materialization), skipped when numpy is unavailable;
+  search, bit-compatible with the seed sampler) through the object view
+  (``sample_paths``: its columnar batch plus full :class:`TargetPath`
+  materialization);
+* ``numpy`` -- :class:`repro.diffusion.engine.NumpyEngine` through the same
+  object view;
 * ``numpy-batch`` -- the same engine consumed columnarly
   (``sample_path_batch`` + array-native type-1 counting, no per-path
   objects): the representation every batch-aware consumer (estimators,
@@ -62,7 +63,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.diffusion.engine import available_engines, create_engine
+from repro.diffusion.engine import ENGINE_NAMES, create_engine
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.traversal import bfs_distances
 from repro.graph.weights import apply_degree_normalized_weights
@@ -191,7 +192,7 @@ def _benchmark_transport(
     syscalls (shm_open/mmap/unlink) eat the zero-copy margin and the two
     arms converge.
     """
-    if not (fork_available() and shm_available() and "numpy" in available_engines()):
+    if not (fork_available() and shm_available()):
         return None
     engine = create_engine(graph, "numpy")
     context = multiprocessing.get_context("fork")
@@ -250,7 +251,9 @@ def run_benchmark(num_paths: int = 30_000, num_nodes: int = 3000, transport_chun
         return hits
 
     samplers = {"dict-seed": run_dict}
-    for name in available_engines():
+    for name in ENGINE_NAMES:
+        if name == "auto":
+            continue
         engine = create_engine(graph, name)
 
         def run_engine(count, engine=engine):
@@ -259,25 +262,23 @@ def run_benchmark(num_paths: int = 30_000, num_nodes: int = 3000, transport_chun
 
         samplers[name] = run_engine
 
-    if "numpy" in available_engines():
-        _assert_columnar_bit_identity(graph, target, stop_set)
-        batch_engine = create_engine(graph, "numpy")
+    _assert_columnar_bit_identity(graph, target, stop_set)
+    batch_engine = create_engine(graph, "numpy")
 
-        def run_batch(count, engine=batch_engine):
-            # Columnar end to end: the type-1 count comes off the is_type1
-            # column; no TargetPath object is ever constructed.
-            return engine.sample_path_batch(target, stop_set, count, rng=_SEED).type1_count()
+    def run_batch(count, engine=batch_engine):
+        # Columnar end to end: the type-1 count comes off the is_type1
+        # column; no TargetPath object is ever constructed.
+        return engine.sample_path_batch(target, stop_set, count, rng=_SEED).type1_count()
 
-        samplers["numpy-batch"] = run_batch
+    samplers["numpy-batch"] = run_batch
 
-    if "numpy-alias" in available_engines():
-        _assert_alias_bit_identity(graph, target, stop_set)
-        alias_engine = create_engine(graph, "numpy-alias")
+    _assert_alias_bit_identity(graph, target, stop_set)
+    alias_engine = create_engine(graph, "numpy-alias")
 
-        def run_alias(count, engine=alias_engine):
-            return engine.sample_path_batch(target, stop_set, count, rng=_SEED).type1_count()
+    def run_alias(count, engine=alias_engine):
+        return engine.sample_path_batch(target, stop_set, count, rng=_SEED).type1_count()
 
-        samplers["alias-batch"] = run_alias
+    samplers["alias-batch"] = run_alias
 
     results = {}
     baseline = None
@@ -291,15 +292,12 @@ def run_benchmark(num_paths: int = 30_000, num_nodes: int = 3000, transport_chun
             "type1_fraction": round(type1 / num_paths, 4),
             "speedup_vs_dict_seed": round(rate / baseline, 2) if baseline else None,
         }
-    if "numpy-batch" in results:
-        python_rate = results["python"]["paths_per_sec"]
-        results["numpy-batch"]["columnar_speedup"] = round(
-            results["numpy-batch"]["paths_per_sec"] / python_rate, 2
-        )
-    if "alias-batch" in results:
-        results["alias-batch"]["alias_speedup"] = round(
-            results["alias-batch"]["paths_per_sec"] / results["numpy-batch"]["paths_per_sec"], 2
-        )
+    results["numpy-batch"]["columnar_speedup"] = round(
+        results["numpy-batch"]["paths_per_sec"] / results["python"]["paths_per_sec"], 2
+    )
+    results["alias-batch"]["alias_speedup"] = round(
+        results["alias-batch"]["paths_per_sec"] / results["numpy-batch"]["paths_per_sec"], 2
+    )
     transport = _benchmark_transport(graph, target, stop_set, num_chunks=transport_chunks)
     if transport is not None:
         results.update(transport)
@@ -308,7 +306,7 @@ def run_benchmark(num_paths: int = 30_000, num_nodes: int = 3000, transport_chun
         "graph": {"nodes": graph.num_nodes, "edges": graph.num_edges, "model": "barabasi-albert"},
         "pair": {"source": source, "target": target},
         "num_paths": num_paths,
-        "bit_identical": "numpy" in available_engines(),
+        "bit_identical": True,
         "results": results,
     }
 
@@ -333,22 +331,20 @@ def test_engine_throughput():
     speedup = report["results"]["python"]["speedup_vs_dict_seed"]
     assert speedup >= 1.5, f"python engine only {speedup}x over the seed sampler"
     results = report["results"]
-    if "numpy" in results:
-        # The engine-inversion guard: a vectorized backend that loses to
-        # the pure-Python one must fail loudly (it shipped silently at
-        # PR 1-4), and the columnar path must deliver a real multiple.
-        python_row, numpy_row = results["python"], results["numpy"]
-        assert numpy_row["speedup_vs_dict_seed"] >= python_row["speedup_vs_dict_seed"], (
-            "numpy engine slower than the python engine"
-        )
-        assert numpy_row["speedup_vs_dict_seed"] >= 1.0, "numpy lost to the seed sampler"
-        columnar = results["numpy-batch"]["columnar_speedup"]
-        assert columnar >= 1.5, f"columnar kernel only {columnar}x over the python engine"
-    if "alias-batch" in results:
-        # The O(1)-step guard, softer than the CI bench job's standalone
-        # gate (1.5x at full benchmark size) to keep tier-1 runs unflaky.
-        alias = results["alias-batch"]["alias_speedup"]
-        assert alias >= 1.1, f"alias kernel only {alias}x over the searchsorted kernel"
+    # The engine-inversion guard: a vectorized backend that loses to the
+    # stdlib-walk one must fail loudly, and the columnar path must deliver
+    # a real multiple.
+    python_row, numpy_row = results["python"], results["numpy"]
+    assert numpy_row["speedup_vs_dict_seed"] >= python_row["speedup_vs_dict_seed"], (
+        "numpy engine slower than the python engine"
+    )
+    assert numpy_row["speedup_vs_dict_seed"] >= 1.0, "numpy lost to the seed sampler"
+    columnar = results["numpy-batch"]["columnar_speedup"]
+    assert columnar >= 1.5, f"columnar kernel only {columnar}x over the python engine"
+    # The O(1)-step guard, softer than the CI bench job's standalone gate
+    # (1.5x at full benchmark size) to keep tier-1 runs unflaky.
+    alias = results["alias-batch"]["alias_speedup"]
+    assert alias >= 1.1, f"alias kernel only {alias}x over the searchsorted kernel"
     if "transport-shm" in results:
         # The wire rows must post, carry their sizing metadata, and the
         # zero-copy arm must never lose outright to pickling; the absolute

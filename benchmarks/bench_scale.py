@@ -172,13 +172,13 @@ def assert_mapped_bit_identity(snapshot_dir: str, count: int = 2000) -> list[str
     that got faster by drifting from the in-memory streams fails the bench
     job instead of posting a number.  Returns the engine names checked.
     """
-    from repro.diffusion.engine import available_engines, create_engine
+    from repro.diffusion.engine import ENGINE_NAMES, create_engine
     from repro.graph.compiled import CompiledGraph
 
     mapped = CompiledGraph.open(snapshot_dir, mmap=True)
     loaded = CompiledGraph.open(snapshot_dir, mmap=False)
     _, target, stop_set = _bench_pair(mapped)
-    names = [name for name in available_engines() if name != "auto"]
+    names = [name for name in ENGINE_NAMES if name != "auto"]
     for name in names:
         left = create_engine(mapped, name).sample_paths(target, stop_set, count, rng=_SEED)
         right = create_engine(loaded, name).sample_paths(target, stop_set, count, rng=_SEED)
@@ -188,10 +188,6 @@ def assert_mapped_bit_identity(snapshot_dir: str, count: int = 2000) -> list[str
 
 def run_benchmark(num_nodes: int, num_paths: int, snapshot_dir: str | None = None) -> dict:
     """Compile the synthetic graph, verify bit-identity, time every arm."""
-    from repro.diffusion.engine import available_engines
-
-    if "numpy" not in available_engines():
-        raise RuntimeError("the scale benchmark needs numpy (snapshots are .npy columns)")
     cleanup = snapshot_dir is None
     if cleanup:
         snapshot_dir = tempfile.mkdtemp(prefix="repro-bench-scale-")
@@ -239,12 +235,6 @@ def test_scale_smoke(tmp_path):
     run; this test only proves the benchmark machinery -- forked-arm RSS
     accounting, bit-identity gate, ratio metrics -- on a small graph.
     """
-    import pytest
-
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        pytest.skip("scale benchmark needs numpy")
     report = run_benchmark(num_nodes=20_000, num_paths=4_000,
                            snapshot_dir=str(tmp_path / "snap"))
     results = report["results"]

@@ -59,7 +59,6 @@ from repro.diffusion import (
     NumpyEngine,
     PythonEngine,
     SamplingEngine,
-    available_engines,
     create_engine,
     estimate_acceptance_probability,
     sample_realization,
@@ -133,7 +132,6 @@ __all__ = [
     "NumpyAliasEngine",
     "NumpyEngine",
     "create_engine",
-    "available_engines",
     "ParallelEngine",
     "maybe_parallel",
     "SamplePool",

@@ -136,8 +136,9 @@ def _parse_workers(value: str) -> "int | str":
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=ENGINE_NAMES, default="python",
-        help="reverse-sampling backend: 'python' (default, pure stdlib), "
-             "'numpy' (vectorized, requires numpy), or 'auto'",
+        help="reverse-sampling backend: 'python' (default, stdlib bisect walk), "
+             "'numpy' (vectorized), 'numpy-alias' (vectorized, O(1) alias steps), "
+             "or 'auto' (= numpy)",
     )
     parser.add_argument(
         "--workers", type=_parse_workers, default=None, metavar="{N,auto}",

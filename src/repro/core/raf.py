@@ -96,7 +96,7 @@ class RAFConfig:
     engine:
         Name of the reverse-sampling backend used for every randomized step
         (``"python"``, ``"numpy"`` or ``"auto"``; see
-        :mod:`repro.diffusion.engine`).  The default pure-Python engine is
+        :mod:`repro.diffusion.engine`).  The default ``"python"`` engine is
         bit-compatible with pre-engine releases for a fixed seed.
     workers:
         Sampling worker processes (a positive integer or ``"auto"`` for the

@@ -12,11 +12,10 @@ This package implements the stochastic substrate of the paper:
   implementation (:mod:`repro.diffusion.reverse_sampling`), the workhorse of
   the RAF algorithm.
 * The batch sampling engines (:mod:`repro.diffusion.engine`) that run the
-  reverse walks on the compiled CSR snapshot -- a pure-Python backend plus
-  an optional numpy-vectorized one, selected by name -- and the columnar
+  reverse walks on the compiled CSR snapshot -- a stdlib bisect-walk
+  backend plus numpy-vectorized ones, selected by name -- and the columnar
   :class:`~repro.diffusion.path_batch.PathBatch` representation
-  (:mod:`repro.diffusion.path_batch`) the vectorized backend emits
-  natively.
+  (:mod:`repro.diffusion.path_batch`) every backend emits.
 * An independent-cascade variant (:mod:`repro.diffusion.cascade_model`) used
   for the discussion of the Yang et al. line of work (extension; not needed
   by RAF itself).
@@ -29,10 +28,8 @@ from repro.diffusion.engine import (
     NumpyEngine,
     PythonEngine,
     SamplingEngine,
-    available_engines,
     create_engine,
     default_engine,
-    numpy_available,
 )
 from repro.diffusion.threshold_model import (
     FriendingOutcome,
@@ -76,10 +73,8 @@ __all__ = [
     "NumpyAliasEngine",
     "NumpyEngine",
     "ENGINE_NAMES",
-    "available_engines",
     "create_engine",
     "default_engine",
-    "numpy_available",
     "simulate_cascade_friending",
     "estimate_cascade_probability",
 ]

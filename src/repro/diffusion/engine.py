@@ -6,31 +6,34 @@ estimating ``pmax``, sampling the ``l`` realizations of Alg. 3, screening
 experiment pairs and (via Lemma 2) evaluating ``f(I)``.  This module
 defines the one interface all of those go through:
 
-* :class:`SamplingEngine` -- the protocol: ``sample_paths(target, stop_set,
-  count, rng)`` returns ``count`` independent :class:`TargetPath` draws.
-* :class:`PythonEngine` -- the pure-stdlib default.  It walks the
+* :class:`SamplingEngine` -- the protocol: ``sample_path_batch(target,
+  stop_set, count, rng)`` returns ``count`` independent draws as one
+  columnar :class:`~repro.diffusion.path_batch.PathBatch`, the only
+  representation of drawn paths; ``sample_paths`` is the shared object
+  view of that batch (``sample_path_batch(...).to_paths()``), returning
+  :class:`TargetPath` objects.
+* :class:`PythonEngine` -- the default, bit-compatible stream.  It walks the
   :class:`~repro.graph.compiled.CompiledGraph` CSR arrays with an
   allocation-free binary search per step and consumes the ``random.Random``
   stream exactly like the historical dict-based sampler (one uniform draw
   per step, neighbours in insertion order), so seeded results are
-  bit-for-bit identical to pre-engine versions of the library.
-* :class:`NumpyEngine` -- an optional vectorized backend that advances a
+  bit-for-bit identical to pre-engine versions of the library.  The walk
+  writes the batch columns itself.
+* :class:`NumpyEngine` -- a vectorized backend that advances a
   whole batch of walks in lockstep: uniform draws and friend selections for
   all active walks are computed with one `numpy` call per step (the friend
   selection uses a single ``searchsorted`` over a globally shifted
   cumulative-weight array), cycle detection runs against an epoch-stamped
   visited matrix, and finished walks are compacted out with boolean masks
   -- zero per-walker Python bookkeeping.  The kernel emits a columnar
-  :class:`~repro.diffusion.path_batch.PathBatch` directly
-  (:meth:`~NumpyEngine.sample_path_batch`); ``sample_paths`` is a lazy
-  object view of the same columns and is bit-identical, draw for draw, to
-  the historical per-walker lockstep kernel (retained, micro-optimized, as
+  :class:`~repro.diffusion.path_batch.PathBatch` directly; its object
+  view is bit-identical, draw for draw, to the historical per-walker
+  lockstep kernel (retained, micro-optimized, as
   :meth:`~NumpyEngine.sample_paths_reference` -- the fallback when the
   visited matrix would not fit in memory, and the reference the columnar
   kernel is asserted against).  The engine draws from a ``numpy``
   generator seeded from the caller's ``rng``, so it is deterministic per
-  seed but follows its own stream.  It degrades cleanly: importing this
-  module never requires numpy, only constructing the engine does.
+  seed but follows its own stream.
 
 * :class:`NumpyAliasEngine` (engine name ``"numpy-alias"``) -- the same
   lockstep kernels with the per-step ``searchsorted`` replaced by an O(1)
@@ -53,8 +56,11 @@ contract).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from typing import Iterable, Protocol, runtime_checkable
+
+import numpy as _np
 
 from repro.diffusion.path_batch import PathBatch, TargetPath
 from repro.exceptions import EngineError
@@ -64,11 +70,6 @@ from repro.types import NodeId
 from repro.utils.rng import RandomSource, ensure_rng
 from repro.utils.validation import require_non_negative_int
 
-try:  # optional dependency: the vectorized backend only
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
 __all__ = [
     "TargetPath",
     "PathBatch",
@@ -77,9 +78,7 @@ __all__ = [
     "NumpyEngine",
     "NumpyAliasEngine",
     "ENGINE_NAMES",
-    "numpy_available",
     "require_engine_name",
-    "available_engines",
     "create_engine",
     "default_engine",
     "resolve_engine",
@@ -99,11 +98,6 @@ class SamplingEngine(Protocol):
 
     name: str
 
-    #: Whether :meth:`sample_path_batch` produces columnar batches natively
-    #: (without materializing per-path objects first).  Consumers use this
-    #: to decide between the columnar and the object fast path.
-    native_batches: bool
-
     @property
     def compiled(self) -> CompiledGraph:
         """The frozen CSR snapshot the engine samples from."""
@@ -118,7 +112,7 @@ class SamplingEngine(Protocol):
     def sample_paths(
         self, target: NodeId, stop_set: Iterable[NodeId], count: int, rng: RandomSource = None
     ) -> list[TargetPath]:
-        """Draw ``count`` independent backward traces from ``target``."""
+        """Draw ``count`` independent backward traces from ``target`` as objects."""
         ...
 
     def sample_path_batch(
@@ -126,15 +120,14 @@ class SamplingEngine(Protocol):
     ) -> PathBatch:
         """Draw ``count`` backward traces as one columnar :class:`PathBatch`.
 
-        Bit-identical to ``sample_paths`` for the same arguments: the
-        batch's lazy views materialize exactly the paths ``sample_paths``
-        would have returned, in the same order.
+        ``sample_paths`` with the same arguments returns exactly this
+        batch's object view, in the same order.
         """
         ...
 
 
 class _EngineBase:
-    """Shared plumbing: compiled-graph binding and the single-path shortcut.
+    """Shared plumbing: compiled-graph binding and the object views.
 
     An engine built from a :class:`SocialGraph` stays *live*: every batch
     (and every ``compiled`` access) re-checks the graph's mutation counter
@@ -146,10 +139,6 @@ class _EngineBase:
     """
 
     __slots__ = ("_graph", "_compiled")
-
-    #: Object-path engines columnarize via PathBatch.from_paths; the
-    #: vectorized engine overrides this (its kernel is array-native).
-    native_batches = False
 
     def __init__(self, graph: SocialGraph | CompiledGraph) -> None:
         if isinstance(graph, CompiledGraph):
@@ -188,24 +177,22 @@ class _EngineBase:
         """Draw one backward trace from ``target``."""
         return self.sample_paths(target, stop_set, 1, rng=rng)[0]
 
-    def sample_path_batch(
+    def sample_paths(
         self, target: NodeId, stop_set: Iterable[NodeId], count: int, rng: RandomSource = None
-    ) -> PathBatch:
-        """Draw ``count`` traces as a columnar batch (generic adapter).
+    ) -> list[TargetPath]:
+        """Draw ``count`` traces as objects: the engine's batch, viewed.
 
-        Samples through the engine's own ``sample_paths`` (so the draws --
-        and the resulting paths -- are exactly those of the object path)
-        and columnarizes afterwards.  Array-native engines override this.
+        Same draws, same paths, same order as :meth:`sample_path_batch` --
+        this is literally that batch materialized.
         """
-        compiled = self.compiled  # snapshot first so the columns match the draws
-        return PathBatch.from_paths(self.sample_paths(target, stop_set, count, rng=rng), compiled)
+        return self.sample_path_batch(target, stop_set, count, rng=rng).to_paths()
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"<{type(self).__name__} graph={self._compiled!r}>"
 
 
 class PythonEngine(_EngineBase):
-    """Pure-stdlib engine: binary-search walks over the CSR arrays.
+    """Stdlib-kernel engine: binary-search walks over the CSR arrays.
 
     Bit-compatible with the historical dict-based sampler: for the same
     seed it consumes the same uniform stream and returns the same paths.
@@ -214,16 +201,18 @@ class PythonEngine(_EngineBase):
     __slots__ = ()
     name = "python"
 
-    def sample_paths(
+    def sample_path_batch(
         self, target: NodeId, stop_set: Iterable[NodeId], count: int, rng: RandomSource = None
-    ) -> list[TargetPath]:
+    ) -> PathBatch:
         """Draw ``count`` backward traces with the stdlib bisect walk.
 
         Consumes exactly one ``rng.random()`` per walk step, so seeded
         results are bit-for-bit identical to the historical dict-based
         sampler -- and identical whether the snapshot lives in RAM or is
         memory-mapped from disk (the binary search only ever touches the
-        CSR slice of the node being stepped).
+        CSR slice of the node being stepped).  The walk appends each
+        trace's dense indices (target first, then walk order) straight
+        into the batch columns; no per-path object is built.
         """
         require_non_negative_int(count, "count")
         generator = ensure_rng(rng)
@@ -233,11 +222,14 @@ class PythonEngine(_EngineBase):
         indptr = compiled.indptr
         parents = compiled.parents
         cum_weights = compiled.cum_weights
-        ids = compiled.nodes
         rand = generator.random
-        paths: list[TargetPath] = []
-        append = paths.append
-        for _ in range(count):
+        offsets = array("q", [0])
+        node_indices = array("q")
+        flags = bytearray(count)
+        anchors = array("q", [-1]) * count
+        append = node_indices.append
+        for walker in range(count):
+            append(start)
             traced = {start}
             current = start
             while True:
@@ -250,24 +242,25 @@ class PythonEngine(_EngineBase):
                 hi = indptr[current + 1]
                 j = bisect_right(cum_weights, draw, lo, hi)
                 if j == hi:  # the draw fell into the stop-probability tail
-                    append(TargetPath(nodes=frozenset(ids[i] for i in traced), is_type1=False))
                     break
                 parent = parents[j]
                 if parent in traced:  # the walk closed a cycle: type-0
-                    append(TargetPath(nodes=frozenset(ids[i] for i in traced), is_type1=False))
                     break
                 if parent in stop:  # reached N_s: type-1
-                    append(
-                        TargetPath(
-                            nodes=frozenset(ids[i] for i in traced),
-                            is_type1=True,
-                            anchor=ids[parent],
-                        )
-                    )
+                    flags[walker] = 1
+                    anchors[walker] = parent
                     break
                 traced.add(parent)
+                append(parent)
                 current = parent
-        return paths
+            offsets.append(len(node_indices))
+        return PathBatch(
+            _np.frombuffer(offsets, dtype=_np.int64),
+            _np.frombuffer(node_indices, dtype=_np.int64),
+            _np.frombuffer(flags, dtype=bool),
+            _np.frombuffer(anchors, dtype=_np.int64),
+            compiled,
+        )
 
 
 class NumpyEngine(_EngineBase):
@@ -311,7 +304,6 @@ class NumpyEngine(_EngineBase):
         "_stamp_epoch",
     )
     name = "numpy"
-    native_batches = True
 
     #: How a lockstep round maps uniform draws to friend selections.  The
     #: subclassed alias mode overrides this; it is part of the engine's
@@ -336,11 +328,6 @@ class NumpyEngine(_EngineBase):
     STAMP_RETAIN_CELLS = 1 << 27
 
     def __init__(self, graph: SocialGraph | CompiledGraph) -> None:
-        if _np is None:
-            raise EngineError(
-                f"the {self.name!r} sampling engine requires numpy, which is not "
-                "installed; use engine='python' (or 'auto' to select automatically)"
-            )
         super().__init__(graph)
         self._np = _np
         self._rebind(self._compiled)
@@ -540,16 +527,6 @@ class NumpyEngine(_EngineBase):
                 cursor[survivors] = slots + 1
         return PathBatch(offsets, node_indices, is_type1, anchors, compiled)
 
-    def sample_paths(
-        self, target: NodeId, stop_set: Iterable[NodeId], count: int, rng: RandomSource = None
-    ) -> list[TargetPath]:
-        """Draw ``count`` traces as objects (the columnar kernel, viewed).
-
-        Same draws, same paths, same order as :meth:`sample_path_batch` --
-        this is literally that batch materialized.
-        """
-        return self.sample_path_batch(target, stop_set, count, rng=rng).to_paths()
-
     # ------------------------------------------------------------------ #
     # The historical per-walker kernel, retained as the reference path
     # ------------------------------------------------------------------ #
@@ -689,11 +666,6 @@ _ENGINE_TYPES: dict[str, type] = {
 }
 
 
-def numpy_available() -> bool:
-    """Whether the optional numpy backend can be constructed."""
-    return _np is not None
-
-
 def require_engine_name(name: object) -> str:
     """Validate a configured engine name against :data:`ENGINE_NAMES`.
 
@@ -708,25 +680,15 @@ def require_engine_name(name: object) -> str:
     return name.lower()
 
 
-def available_engines() -> tuple[str, ...]:
-    """Names of the engines that can actually run in this environment."""
-    names = [PythonEngine.name]
-    if numpy_available():
-        names.append(NumpyEngine.name)
-        names.append(NumpyAliasEngine.name)
-    return tuple(names)
-
-
 def create_engine(graph: SocialGraph | CompiledGraph, name: str = "python") -> SamplingEngine:
     """Build a sampling engine for ``graph`` by backend name.
 
-    ``"auto"`` picks the numpy backend when numpy is importable and falls
-    back to the pure-Python backend otherwise.  Unknown names and
-    unavailable backends raise :class:`~repro.exceptions.EngineError`.
+    ``"auto"`` picks the vectorized ``"numpy"`` backend.  Unknown names
+    raise :class:`~repro.exceptions.EngineError`.
     """
     key = (name or "python").lower()
     if key == "auto":
-        key = NumpyEngine.name if numpy_available() else PythonEngine.name
+        key = NumpyEngine.name
     try:
         engine_type = _ENGINE_TYPES[key]
     except KeyError:
@@ -737,7 +699,7 @@ def create_engine(graph: SocialGraph | CompiledGraph, name: str = "python") -> S
 
 
 def default_engine(graph: SocialGraph | CompiledGraph) -> SamplingEngine:
-    """The default (pure-Python, bit-compatible) engine for ``graph``.
+    """The default (stdlib bisect-walk, bit-compatible) engine for ``graph``.
 
     Construction is cheap: the compiled snapshot is cached on the graph, so
     this can be called per sampling request without re-freezing anything.
@@ -785,23 +747,17 @@ def collect_type1_paths(
 
     Returns ``(type1_paths, num_type1)``.  Chunking keeps peak memory
     proportional to ``chunk_size`` plus the type-1 yield instead of the full
-    realization count, which matters for the theory-faithful ``l``.
+    realization count, which matters for the theory-faithful ``l``; the
+    filter runs on the columns, so type-0 traces never become objects.
     """
     require_non_negative_int(count, "count")
     generator = ensure_rng(rng)
     stop = stop_set if isinstance(stop_set, (set, frozenset)) else frozenset(stop_set)
-    native = getattr(engine, "native_batches", False)
     type1: list[TargetPath] = []
     remaining = count
     while remaining > 0:
         batch = min(chunk_size, remaining)
-        if native:
-            # Columnar filter: type-0 traces never become objects at all.
-            drawn = engine.sample_path_batch(target, stop, batch, rng=generator)
-            type1.extend(drawn.type1_paths_slice(0, len(drawn)))
-        else:
-            for path in engine.sample_paths(target, stop, batch, rng=generator):
-                if path.is_type1:
-                    type1.append(path)
+        drawn = engine.sample_path_batch(target, stop, batch, rng=generator)
+        type1.extend(drawn.type1_paths_slice(0, len(drawn)))
         remaining -= batch
     return type1, len(type1)

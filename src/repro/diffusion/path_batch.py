@@ -21,37 +21,29 @@ sampling backend — the per-path ``frozenset`` construction outweighs the
 * ``anchor_indices`` — the dense index of the type-1 anchor ``u* ∈ N_s``
   (``-1`` for type-0 paths).
 
-Batches are produced natively by the vectorized engine
-(:meth:`repro.diffusion.engine.NumpyEngine.sample_path_batch`), travel
-between worker processes as packed array buffers (pickling drops the graph
-reference so only the columns cross the process boundary), are stored
-per-key by the sample pool (:class:`PathStore`), and are spilled to disk
-as ``.npz`` array blobs.  Indicator reductions (:meth:`PathBatch.
-type1_bytes`, :meth:`PathBatch.covered_bytes`) run directly on the columns
-— no per-path objects are ever created on those paths.  Full back-compat
-is kept through *lazy views*: :meth:`PathBatch.path`, iteration and
-:meth:`PathBatch.to_paths` materialize bit-identical :class:`TargetPath`
-objects on demand.
-
-The module degrades cleanly without numpy: columns fall back to stdlib
-``array``/``bytearray`` storage with loop-based reductions, and only the
-``.npz`` persistence requires numpy.  See DESIGN.md §6 for the layout and
-the draw-compatibility contract.
+Every engine writes batches directly
+(:meth:`repro.diffusion.engine.SamplingEngine.sample_path_batch`); they
+travel between worker processes as packed array buffers (pickling drops
+the graph reference so only the columns cross the process boundary), are
+stored per-key by the sample pool (:class:`PathStore`), and are spilled to
+disk as ``.npz`` array blobs.  Indicator reductions (:meth:`PathBatch.
+type1_bytes`, :meth:`PathBatch.covered_bytes`) run directly on the numpy
+columns — no per-path objects are ever created on those paths.  The object
+view is kept through *lazy views*: :meth:`PathBatch.path`, iteration and
+:meth:`PathBatch.to_paths` materialize :class:`TargetPath` objects on
+demand.  See DESIGN.md §6 for the layout and the draw-compatibility
+contract.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from repro.types import NodeId
+import numpy as _np
 
-try:  # optional dependency: vectorized reductions and .npz persistence only
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
+from repro.types import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.compiled import CompiledGraph
@@ -98,17 +90,6 @@ class TargetPath:
         return len(self.nodes)
 
 
-def _tolist(column) -> list:
-    """Plain-list view of a column regardless of its backing storage."""
-    if isinstance(column, (bytes, bytearray)):
-        return list(column)
-    return column.tolist()
-
-
-def _is_ndarray(column) -> bool:
-    return _np is not None and isinstance(column, _np.ndarray)
-
-
 def _invitation_mask(graph, invitation: Iterable[NodeId]):
     """Dense boolean membership mask of an invitation over ``graph``'s interning."""
     invited = graph.indices_of(invitation)
@@ -147,48 +128,40 @@ class PathBatch:
     @classmethod
     def empty(cls, graph=None) -> "PathBatch":
         """A batch of zero paths."""
-        if _np is not None:
-            return cls(
-                _np.zeros(1, dtype=_np.int64),
-                _np.empty(0, dtype=_np.int64),
-                _np.empty(0, dtype=bool),
-                _np.empty(0, dtype=_np.int64),
-                graph,
-            )
-        return cls(array("q", [0]), array("q"), bytearray(), array("q"), graph)
+        return cls(
+            _np.zeros(1, dtype=_np.int64),
+            _np.empty(0, dtype=_np.int64),
+            _np.empty(0, dtype=bool),
+            _np.empty(0, dtype=_np.int64),
+            graph,
+        )
 
     @classmethod
     def from_paths(cls, paths: Sequence[TargetPath], graph: "CompiledGraph") -> "PathBatch":
         """Columnarize already-materialized :class:`TargetPath` objects.
 
-        The generic adapter for object-path engines; the vectorized engine
-        produces batches natively without ever building the objects.
+        Used by the vectorized engine's per-walker fallback kernel, which
+        builds path objects; every other producer writes columns directly.
         """
         index = graph.index_of
-        offsets = array("q", [0])
-        node_indices = array("q")
-        is_type1 = bytearray()
-        anchor_indices = array("q")
+        offsets = [0]
+        node_indices: list[int] = []
+        anchor_indices: list[int] = []
         for path in paths:
             node_indices.extend(index(node) for node in path.nodes)
             offsets.append(len(node_indices))
-            is_type1.append(1 if path.is_type1 else 0)
             anchor_indices.append(index(path.anchor) if path.is_type1 else -1)
-        if _np is None:
-            return cls(offsets, node_indices, is_type1, anchor_indices, graph)
         return cls(
             _np.asarray(offsets, dtype=_np.int64),
             _np.asarray(node_indices, dtype=_np.int64),
-            _np.frombuffer(bytes(is_type1), dtype=_np.uint8).astype(bool),
+            _np.fromiter((path.is_type1 for path in paths), dtype=bool, count=len(paths)),
             _np.asarray(anchor_indices, dtype=_np.int64),
             graph,
         )
 
     @classmethod
     def concat(cls, batches: Sequence["PathBatch"], graph=None) -> "PathBatch":
-        """Concatenate batches (requires numpy-backed columns)."""
-        if _np is None:
-            raise RuntimeError("PathBatch.concat requires numpy")
+        """Concatenate batches in order into one batch."""
         if not batches:
             return cls.empty(graph)
         if graph is None:
@@ -198,9 +171,9 @@ class PathBatch:
         _np.cumsum(lengths, out=offsets[1:])
         return cls(
             offsets,
-            _np.concatenate([_np.asarray(batch.node_indices) for batch in batches]),
-            _np.concatenate([_np.asarray(batch.is_type1, dtype=bool) for batch in batches]),
-            _np.concatenate([_np.asarray(batch.anchor_indices) for batch in batches]),
+            _np.concatenate([batch.node_indices for batch in batches]),
+            _np.concatenate([batch.is_type1 for batch in batches]),
+            _np.concatenate([batch.anchor_indices for batch in batches]),
             graph,
         )
 
@@ -243,9 +216,8 @@ class PathBatch:
     def paths_slice(self, start: int, stop: int) -> list[TargetPath]:
         """Materialize paths ``[start, stop)`` as :class:`TargetPath` objects.
 
-        Bit-identical to what the object-path engines would have returned
-        for the same draws: same node sets, flags and anchors, in the same
-        order.
+        The engines' object view (``sample_paths``): same node sets, flags
+        and anchors as the draws, in the same order.
         """
         return self._materialize(start, stop, type1_only=False)
 
@@ -263,23 +235,24 @@ class PathBatch:
             raise IndexError(f"path slice [{start}, {stop}) out of range for {len(self)} paths")
         if start == stop:
             return []
-        ids = self._ids()
-        offsets = _tolist(self.offsets[start : stop + 1])
-        base = offsets[0]
-        flat = _tolist(self.node_indices[base : offsets[-1]])
-        flags = _tolist(self.is_type1[start:stop])
-        anchors = _tolist(self.anchor_indices[start:stop])
+        lookup = self._ids().__getitem__
+        bounds = self.offsets[start : stop + 1]
+        base = int(bounds[0])
+        flat = self.node_indices[base : int(bounds[-1])].tolist()
+        ends = (bounds[1:] - base).tolist()
+        flags = self.is_type1[start:stop].tolist()
+        anchors = self.anchor_indices[start:stop].tolist()
         out: list[TargetPath] = []
         append = out.append
-        for k in range(stop - start):
-            flagged = flags[k]
-            if type1_only and not flagged:
-                continue
-            nodes = frozenset(map(ids.__getitem__, flat[offsets[k] - base : offsets[k + 1] - base]))
+        lo = 0
+        # Positional TargetPath construction and one hoisted id lookup: this
+        # loop is every engine's object view, so per-path overhead counts.
+        for hi, flagged, anchor in zip(ends, flags, anchors):
             if flagged:
-                append(TargetPath(nodes=nodes, is_type1=True, anchor=ids[anchors[k]]))
-            else:
-                append(TargetPath(nodes=nodes, is_type1=False))
+                append(TargetPath(frozenset(map(lookup, flat[lo:hi])), True, lookup(anchor)))
+            elif not type1_only:
+                append(TargetPath(frozenset(map(lookup, flat[lo:hi])), False))
+            lo = hi
         return out
 
     # ------------------------------------------------------------------ #
@@ -289,18 +262,12 @@ class PathBatch:
     def type1_bytes(self, start: int = 0, stop: int | None = None) -> bytes:
         """Type indicators ``y(ĝ)`` of paths ``[start, stop)``, one byte each."""
         stop = len(self) if stop is None else stop
-        segment = self.is_type1[start:stop]
-        if _is_ndarray(segment):
-            return segment.tobytes()  # bool -> exactly one 0/1 byte per path
-        return bytes(segment)
+        return self.is_type1[start:stop].tobytes()  # bool: one 0/1 byte per path
 
     def type1_count(self, start: int = 0, stop: int | None = None) -> int:
         """How many of paths ``[start, stop)`` are type-1."""
         stop = len(self) if stop is None else stop
-        segment = self.is_type1[start:stop]
-        if _is_ndarray(segment):
-            return int(segment.sum())
-        return sum(segment)
+        return int(self.is_type1[start:stop].sum())
 
     def covered_bytes(
         self, invitation: Iterable[NodeId], start: int = 0, stop: int | None = None
@@ -317,10 +284,6 @@ class PathBatch:
         graph = self.graph
         if graph is None:
             raise RuntimeError("covered_bytes needs the compiled graph; attach() first")
-        if not _is_ndarray(self.node_indices):
-            return bytes(
-                1 if path.covered_by(invitation) else 0 for path in self.paths_slice(start, stop)
-            )
         return self.covered_bytes_masked(_invitation_mask(graph, invitation), start, stop)
 
     def covered_bytes_masked(self, mask, start: int, stop: int) -> bytes:
@@ -340,11 +303,7 @@ class PathBatch:
 
     def select_type1(self) -> "PathBatch":
         """The type-1 subset as a new batch (order preserved)."""
-        if not _is_ndarray(self.offsets):
-            if self.graph is None:
-                raise RuntimeError("select_type1 on a detached non-numpy batch")
-            return PathBatch.from_paths(self.type1_paths_slice(0, len(self)), self.graph)
-        keep = _np.asarray(self.is_type1, dtype=bool)
+        keep = self.is_type1
         lengths = _np.diff(self.offsets)
         node_indices = self.node_indices[_np.repeat(keep, lengths)]
         kept_lengths = lengths[keep]
@@ -369,9 +328,7 @@ class PathBatch:
         self.graph = None
 
     def save_npz(self, path) -> None:
-        """Persist the columns as one ``.npz`` array blob (requires numpy)."""
-        if _np is None or not _is_ndarray(self.offsets):
-            raise RuntimeError("save_npz requires numpy-backed columns")
+        """Persist the columns as one ``.npz`` array blob."""
         _np.savez(
             path,
             offsets=self.offsets,
@@ -383,8 +340,6 @@ class PathBatch:
     @classmethod
     def load_npz(cls, path, graph=None) -> "PathBatch":
         """Load columns persisted by :meth:`save_npz`."""
-        if _np is None:
-            raise RuntimeError("load_npz requires numpy")
         with _np.load(path) as data:
             return cls(
                 _np.asarray(data["offsets"], dtype=_np.int64),
@@ -404,18 +359,17 @@ class PathBatch:
 class PathStore:
     """Chunked storage of one stream's materialized prefix.
 
-    The sample pool appends whole engine chunks — :class:`PathBatch`
-    columns from batch-native engines, plain ``list[TargetPath]`` chunks
-    from object-path engines — and serves reads across chunk boundaries.
-    Columnar chunks stay columnar end to end: indicator reads reduce on
-    the arrays, and :class:`TargetPath` objects are built only when a
-    caller explicitly asks for them.
+    The sample pool appends whole engine chunks (:class:`PathBatch`
+    columns) and serves reads across chunk boundaries.  Chunks stay
+    columnar end to end: indicator reads reduce on the arrays, and
+    :class:`TargetPath` objects are built only when a caller explicitly
+    asks for them.
     """
 
     __slots__ = ("_chunks", "_bounds")
 
     def __init__(self) -> None:
-        self._chunks: list = []
+        self._chunks: list[PathBatch] = []
         self._bounds: list[int] = [0]
 
     def __len__(self) -> int:
@@ -429,8 +383,8 @@ class PathStore:
         """The stored chunks, in stream order (for spilling)."""
         return tuple(self._chunks)
 
-    def append(self, chunk) -> None:
-        """Append one engine chunk (a :class:`PathBatch` or a path list)."""
+    def append(self, chunk: PathBatch) -> None:
+        """Append one engine chunk."""
         self._chunks.append(chunk)
         self._bounds.append(self._bounds[-1] + len(chunk))
 
@@ -452,31 +406,19 @@ class PathStore:
         """Paths ``[start, stop)`` as :class:`TargetPath` objects (a new list)."""
         out: list[TargetPath] = []
         for chunk, lo, hi in self._segments(start, stop):
-            if isinstance(chunk, PathBatch):
-                out.extend(chunk.paths_slice(lo, hi))
-            else:
-                out.extend(chunk[lo:hi])
+            out.extend(chunk.paths_slice(lo, hi))
         return out
 
     def type1_slice(self, start: int, stop: int) -> list[TargetPath]:
         """Only the type-1 paths among ``[start, stop)``, order preserved."""
         out: list[TargetPath] = []
         for chunk, lo, hi in self._segments(start, stop):
-            if isinstance(chunk, PathBatch):
-                out.extend(chunk.type1_paths_slice(lo, hi))
-            else:
-                out.extend(path for path in chunk[lo:hi] if path.is_type1)
+            out.extend(chunk.type1_paths_slice(lo, hi))
         return out
 
     def type1_bytes(self, start: int, stop: int) -> bytes:
         """Type indicators of paths ``[start, stop)``, one byte each."""
-        parts: list[bytes] = []
-        for chunk, lo, hi in self._segments(start, stop):
-            if isinstance(chunk, PathBatch):
-                parts.append(chunk.type1_bytes(lo, hi))
-            else:
-                parts.append(bytes(1 if path.is_type1 else 0 for path in chunk[lo:hi]))
-        return b"".join(parts)
+        return b"".join(chunk.type1_bytes(lo, hi) for chunk, lo, hi in self._segments(start, stop))
 
     def covered_bytes(self, start: int, stop: int, invitation: frozenset) -> bytes:
         """Covered-trace indicators (Lemma 2) of paths ``[start, stop)``."""
@@ -487,18 +429,10 @@ class PathStore:
         # single shared mask would silently misread them.
         masks: dict[int, object] = {}
         for chunk, lo, hi in self._segments(start, stop):
-            if isinstance(chunk, PathBatch) and _is_ndarray(chunk.node_indices):
-                if chunk.graph is None:
-                    raise RuntimeError("covered_bytes needs the compiled graph; attach() first")
-                mask = masks.get(id(chunk.graph))
-                if mask is None:
-                    mask = _invitation_mask(chunk.graph, invitation)
-                    masks[id(chunk.graph)] = mask
-                parts.append(chunk.covered_bytes_masked(mask, lo, hi))
-            elif isinstance(chunk, PathBatch):
-                parts.append(chunk.covered_bytes(invitation, lo, hi))
-            else:
-                parts.append(
-                    bytes(1 if path.covered_by(invitation) else 0 for path in chunk[lo:hi])
-                )
+            if chunk.graph is None:
+                raise RuntimeError("covered_bytes needs the compiled graph; attach() first")
+            mask = masks.get(id(chunk.graph))
+            if mask is None:
+                mask = masks[id(chunk.graph)] = _invitation_mask(chunk.graph, invitation)
+            parts.append(chunk.covered_bytes_masked(mask, lo, hi))
         return b"".join(parts)

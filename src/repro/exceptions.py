@@ -78,10 +78,8 @@ class SnapshotError(GraphError):
     """Base class for on-disk compiled-snapshot errors.
 
     Raised (always with the offending path in the message) when a snapshot
-    directory cannot be written, opened or re-opened -- including the case
-    where the optional ``numpy`` dependency backing the ``.npy`` columns is
-    not installed.  More specific failure modes use the subclasses below so
-    callers can distinguish "not a snapshot" from "a snapshot from the
+    directory cannot be written, opened or re-opened.  More specific
+    failure modes use the subclasses below so callers can distinguish "not a snapshot" from "a snapshot from the
     future" from "a damaged snapshot".
     """
 
@@ -119,11 +117,11 @@ class EstimationError(ReproError):
 
 
 class EngineError(ReproError, ValueError):
-    """A sampling engine is unknown or its backend is unavailable.
+    """A sampling engine is unknown, misconfigured or misused.
 
-    Raised when an engine name does not match a registered backend or when
-    an optional backend (e.g. the numpy-vectorized engine) is requested in
-    an environment where its dependency is not installed.
+    Raised when an engine name does not match a registered backend, when an
+    engine argument is invalid, or when an engine built on one graph is
+    used with another.
     """
 
 

@@ -54,6 +54,8 @@ from bisect import bisect_right
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+import numpy as _np
+
 from repro.exceptions import (
     NodeNotFoundError,
     SnapshotError,
@@ -63,11 +65,6 @@ from repro.exceptions import (
 )
 from repro.graph.social_graph import WEIGHT_SUM_TOLERANCE, SocialGraph
 from repro.types import NodeId
-
-try:  # optional dependency: only the on-disk snapshot tier needs numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 __all__ = [
     "CompiledGraph",
@@ -352,14 +349,6 @@ def read_snapshot_meta(path) -> dict:
     return meta
 
 
-def _require_numpy(action: str, path) -> None:
-    if _np is None:
-        raise SnapshotError(
-            f"{action} snapshot {path}: the on-disk .npy column format requires "
-            "numpy, which is not installed (pip install repro-active-friending[numpy])"
-        )
-
-
 def _load_column(directory: Path, name: str, expected_length: int | None, mmap: bool):
     """Map (or load) one ``.npy`` column, validating dtype/endianness/shape."""
     path = directory / f"{name}.npy"
@@ -492,7 +481,6 @@ class CompiledGraph:
         :class:`~repro.exceptions.SnapshotFormatError`.
         """
         directory = Path(path)
-        _require_numpy("writing", directory)
         if any(type(node) is not int for node in self.nodes):
             raise SnapshotFormatError(
                 f"snapshot {directory}: node ids must be plain integers to be "
@@ -553,7 +541,6 @@ class CompiledGraph:
         mismatch under ``verify`` raises ``SnapshotIntegrityError``.
         """
         directory = Path(path)
-        _require_numpy("opening", directory)
         meta = read_snapshot_meta(directory)
         n = meta["num_nodes"]
         nodes_column = _load_column(directory, "nodes", n, mmap)

@@ -39,7 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
+
+import numpy as _np
+from numpy.lib.format import open_memmap
 
 from repro.exceptions import GraphFormatError, SnapshotError, SnapshotFormatError
 from repro.graph.compiled import (
@@ -49,11 +52,6 @@ from repro.graph.compiled import (
     build_alias_tables,
     compute_csr_digest,
 )
-
-try:  # the on-disk .npy columns require numpy (same bound as CompiledGraph.save)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 __all__ = ["compile_edge_list", "StreamCompileResult", "WEIGHT_SCHEMES"]
 
@@ -311,8 +309,6 @@ def _edge_share(degree: int, weights: str, uniform_weight: float) -> float:
 
 
 def _open_output(directory: Path, name: str, dtype, shape):
-    from numpy.lib.format import open_memmap
-
     try:
         return open_memmap(directory / f"{name}.npy", mode="w+", dtype=dtype, shape=shape)
     except OSError as error:
@@ -343,11 +339,6 @@ def compile_edge_list(
     is bit-identical to the in-memory compile-and-save route for the same
     input; returns a :class:`StreamCompileResult` carrying the digest.
     """
-    if _np is None:
-        raise SnapshotError(
-            f"compiling snapshot {out_dir}: the streaming compiler writes .npy "
-            "columns and requires numpy, which is not installed"
-        )
     if weights not in WEIGHT_SCHEMES:
         raise SnapshotFormatError(
             f"unknown weight scheme {weights!r}; expected one of {WEIGHT_SCHEMES}"

@@ -6,7 +6,7 @@ sampling framework (Alg. 3), pair screening and the Lemma-2 Monte Carlo
 evaluation -- so it is embarrassingly parallel at the sampling layer.
 :class:`ParallelEngine` adds that parallelism *behind* the
 :class:`~repro.diffusion.engine.SamplingEngine` protocol: it wraps any base
-engine and fans each ``sample_paths`` request out over a ``multiprocessing``
+engine and fans each sampling request out over a ``multiprocessing``
 worker pool, so every layer above (estimation, core, experiments, CLI)
 parallelizes without code changes.
 
@@ -32,10 +32,11 @@ graph by forking; shipping it by pickle to spawned processes would cost more
 than it saves).  The pool is created lazily on first parallel dispatch,
 reused across calls, and torn down when the engine is closed or collected.
 
-Transport (DESIGN.md §7): with a batch-native base engine, finished
-columnar chunks travel back from the workers either pickled through the
-result pipe (``transport="pickle"``) or as zero-copy shared-memory
-segments (``transport="shm"``, the default where available): the worker
+Transport (DESIGN.md §7): every chunk is a columnar
+:class:`~repro.diffusion.path_batch.PathBatch`; finished chunks travel back
+from the workers either pickled through the result pipe
+(``transport="pickle"``) or as zero-copy shared-memory segments
+(``transport="shm"``, the default where available): the worker
 publishes the columns once into a named segment and ships only a tiny
 descriptor; the parent adopts views over the segment with a ref-counted,
 unlink-on-release lifecycle (:mod:`repro.parallel.shm`).  The transport
@@ -173,8 +174,8 @@ def _ship_batch(batch: PathBatch):
 
     The descriptor is a few dozen bytes regardless of batch size; if the
     segment cannot be created (shared memory unavailable, ``/dev/shm``
-    exhausted, non-numpy columns) the batch itself is returned and crosses
-    the pipe pickled -- same columns either way.
+    exhausted) the batch itself is returned and crosses the pipe pickled
+    -- same columns either way.
     """
     if _WORKER_TRANSPORT == "shm":
         ref = shm_transport.publish_batch(batch, prefix=_WORKER_SHM_PREFIX)
@@ -183,31 +184,10 @@ def _ship_batch(batch: PathBatch):
     return batch
 
 
-def _adopt_chunks(chunks: list) -> list:
-    """Parent-side ingress: attach any shared-memory descriptors in place."""
-    return [
-        shm_transport.adopt(chunk) if isinstance(chunk, ShmBatchRef) else chunk
-        for chunk in chunks
-    ]
-
-
-def _sample_chunk_on(
-    engine: SamplingEngine, payload: tuple[NodeId, frozenset, int, int]
-) -> list[TargetPath]:
-    """Draw one chunk on ``engine`` from its own seed-rebuilt generator."""
-    target, stop_set, count, seed = payload
-    return engine.sample_paths(target, stop_set, count, rng=random.Random(seed))
-
-
-def _sample_chunk(payload: tuple[NodeId, frozenset, int, int]) -> list[TargetPath]:
-    assert _WORKER_ENGINE is not None, "worker pool used before initialization"
-    return _sample_chunk_on(_WORKER_ENGINE, payload)
-
-
 def _sample_batch_chunk_on(
     engine: SamplingEngine, payload: tuple[NodeId, frozenset, int, int]
 ) -> PathBatch:
-    """Draw one chunk as a columnar batch (same seed contract as chunks).
+    """Draw one chunk on ``engine`` from its own seed-rebuilt generator.
 
     Returned batches pickle as packed array buffers -- the graph reference
     is dropped in transit and the parent re-attaches its own snapshot --
@@ -223,17 +203,9 @@ def _sample_batch_chunk(payload: tuple[NodeId, frozenset, int, int]):
     return _ship_batch(_sample_batch_chunk_on(_WORKER_ENGINE, payload))
 
 
-def _chunk_sampler_for(engine: SamplingEngine):
-    """Worker-side chunk sampler: columnar for batch-native base engines."""
-    if getattr(engine, "native_batches", False):
-        return _sample_batch_chunk_on
-    return _sample_chunk_on
-
-
 def _reduce_chunk_on(engine: SamplingEngine, payload) -> object:
     reducer, target, stop_set, count, seed, arg = payload
-    chunk = _chunk_sampler_for(engine)(engine, (target, stop_set, count, seed))
-    return reducer(chunk, arg)
+    return reducer(_sample_batch_chunk_on(engine, (target, stop_set, count, seed)), arg)
 
 
 def _reduce_chunk(payload) -> object:
@@ -269,25 +241,18 @@ def _run_with_fault(directives, run_pooled, payload):
 
 # Chunk reducers.  Applied worker-side so a chunk's IPC cost is one byte per
 # sample (indicators) or only the useful paths (type-1 filtering) instead of
-# every pickled TargetPath; must be top-level functions so they pickle by
-# reference.  Each accepts either chunk form: a columnar PathBatch (reduced
-# on the arrays, no per-path objects) or a plain path list.
-def _type1_indicator_bytes(chunk, _arg) -> bytes:
-    if isinstance(chunk, PathBatch):
-        return chunk.type1_bytes()
-    return bytes(1 if path.is_type1 else 0 for path in chunk)
+# every path; must be top-level functions so they pickle by reference.  Each
+# reduces a chunk's columns directly, building no per-path objects.
+def _type1_indicator_bytes(chunk: PathBatch, _arg) -> bytes:
+    return chunk.type1_bytes()
 
 
-def _covered_indicator_bytes(chunk, invited: frozenset) -> bytes:
-    if isinstance(chunk, PathBatch):
-        return chunk.covered_bytes(invited)
-    return bytes(1 if path.covered_by(invited) else 0 for path in chunk)
+def _covered_indicator_bytes(chunk: PathBatch, invited: frozenset) -> bytes:
+    return chunk.covered_bytes(invited)
 
 
-def _type1_paths_only(chunk, _arg):
-    if isinstance(chunk, PathBatch):
-        return chunk.select_type1()  # ships as packed columns, type-1 only
-    return [path for path in chunk if path.is_type1]
+def _type1_paths_only(chunk: PathBatch, _arg) -> PathBatch:
+    return chunk.select_type1()  # ships as packed columns, type-1 only
 
 
 def _shutdown_pool(pool) -> None:
@@ -336,9 +301,7 @@ class ParallelEngine:
         self._base = base
         self._workers = resolved
         self._chunk_size = int(chunk_size)
-        self._transport = resolve_transport(
-            transport, native_batches=getattr(base, "native_batches", False)
-        )
+        self._transport = resolve_transport(transport)
         self._max_chunk_retries = int(max_chunk_retries)
         self._on_worker_failure = on_worker_failure
         self._fault_plan = fault_plan
@@ -370,7 +333,7 @@ class ParallelEngine:
 
     @property
     def transport(self) -> str:
-        """How columnar chunks return from the workers: ``"shm"`` (zero-copy
+        """How chunks return from the workers: ``"shm"`` (zero-copy
         shared-memory segments, with per-chunk pickling fallback) or
         ``"pickle"`` (packed columns through the result pipe).  Never
         affects results, only the wire."""
@@ -385,12 +348,6 @@ class ParallelEngine:
     def source_graph(self):
         """The wrapped engine's live graph (None when snapshot-pinned)."""
         return getattr(self._base, "source_graph", None)
-
-    @property
-    def native_batches(self) -> bool:
-        """Columnar when the wrapped engine is (batches then travel as
-        packed array buffers between the workers and the parent)."""
-        return getattr(self._base, "native_batches", False)
 
     @property
     def max_chunk_retries(self) -> int:
@@ -506,51 +463,25 @@ class ParallelEngine:
     ) -> list[TargetPath]:
         """Draw ``count`` independent backward traces from ``target``.
 
-        The request is split into fixed-size chunks, each chunk is drawn
-        from its own derived-seed generator (possibly on a worker process),
-        and the chunks are concatenated in chunk order -- so the result is
-        independent of the worker count and of chunk scheduling.
+        The object view of :meth:`sample_path_batch`: same chunks, same
+        seeds, same order.
         """
-        chunks = self._run_chunks(target, stop_set, count, rng)
-        return [path for chunk in chunks for path in chunk]
+        return self.sample_path_batch(target, stop_set, count, rng=rng).to_paths()
 
     def sample_path_batch(
         self, target: NodeId, stop_set: Iterable[NodeId], count: int, rng: RandomSource = None
     ) -> PathBatch:
         """Draw ``count`` traces as one columnar batch (chunked fan-out).
 
-        Chunk layout and seeds are exactly those of :meth:`sample_paths`,
-        so the batch's lazy views materialize the identical path list; with
-        a batch-native base engine each worker ships packed columns instead
-        of pickled paths, and the per-chunk batches are concatenated in
-        chunk order on the parent.
+        The request is split into fixed-size chunks, each chunk is drawn
+        from its own derived-seed generator (possibly on a worker process,
+        which ships packed columns back), and the chunks are concatenated
+        in chunk order on the parent -- so the result is independent of
+        the worker count and of chunk scheduling.
         """
         compiled = self.compiled
-        if not self.native_batches:
-            return PathBatch.from_paths(
-                self.sample_paths(target, stop_set, count, rng=rng), compiled
-            )
-        chunks = self._run_chunks(target, stop_set, count, rng, batches=True)
+        chunks = self._run_chunks(target, stop_set, count, rng)
         return PathBatch.concat([chunk.attach(compiled) for chunk in chunks], compiled)
-
-    def sample_seeded_chunks(
-        self,
-        target: NodeId,
-        stop_set: Iterable[NodeId],
-        sized_seeds: "list[tuple[int, int]]",
-    ) -> list[list[TargetPath]]:
-        """Draw explicitly seeded chunks, fanned over the worker pool.
-
-        ``sized_seeds`` is a list of ``(count, seed)`` pairs; chunk ``i`` is
-        drawn as ``sample_paths(target, stop_set, count_i,
-        rng=random.Random(seed_i))`` and the per-chunk path lists are
-        returned in input order.  This is the fan-out the sample pool
-        (:mod:`repro.pool`) uses to extend a key by several chunks at once:
-        the caller owns the seed schedule (so the chunk contents are a pure
-        function of the seeds, worker-count independent), and each worker's
-        shard is merged back deterministically by position.
-        """
-        return self._run_seeded(target, stop_set, sized_seeds, _sample_chunk, _sample_chunk_on)
 
     def sample_seeded_batches(
         self,
@@ -558,21 +489,33 @@ class ParallelEngine:
         stop_set: Iterable[NodeId],
         sized_seeds: "list[tuple[int, int]]",
     ) -> list[PathBatch]:
-        """Columnar variant of :meth:`sample_seeded_chunks`.
+        """Draw explicitly seeded chunks, fanned over the worker pool.
 
-        Chunk ``i`` is ``sample_path_batch(target, stop_set, count_i,
-        rng=random.Random(seed_i))`` on the base engine, so its lazy views
-        materialize exactly the paths :meth:`sample_seeded_chunks` would
-        have returned for the same seeds -- but full-path collection now
-        ships packed array columns across the process boundary instead of
-        one pickled :class:`TargetPath` per sample.  This is the fan-out
-        the sample pool uses to extend columnar keys.
+        ``sized_seeds`` is a list of ``(count, seed)`` pairs; chunk ``i`` is
+        ``sample_path_batch(target, stop_set, count_i,
+        rng=random.Random(seed_i))`` on the base engine, and the per-chunk
+        batches are returned in input order.  This is the fan-out the
+        sample pool (:mod:`repro.pool`) uses to extend a key by several
+        chunks at once: the caller owns the seed schedule (so the chunk
+        contents are a pure function of the seeds, worker-count
+        independent), and each worker's shard is merged back
+        deterministically by position.
         """
         compiled = self.compiled
         chunks = self._run_seeded(
             target, stop_set, sized_seeds, _sample_batch_chunk, _sample_batch_chunk_on
         )
         return [chunk.attach(compiled) for chunk in chunks]
+
+    def sample_seeded_chunks(
+        self,
+        target: NodeId,
+        stop_set: Iterable[NodeId],
+        sized_seeds: "list[tuple[int, int]]",
+    ) -> list[list[TargetPath]]:
+        """The object view of :meth:`sample_seeded_batches`, chunk by chunk."""
+        chunks = self.sample_seeded_batches(target, stop_set, sized_seeds)
+        return [chunk.to_paths() for chunk in chunks]
 
     def _run_seeded(self, target, stop_set, sized_seeds, run_pooled, run_local) -> list:
         stop = stop_set if isinstance(stop_set, frozenset) else frozenset(stop_set)
@@ -603,9 +546,7 @@ class ParallelEngine:
         """
         return self._run_chunks(target, stop_set, count, rng, reducer=reducer, arg=arg)
 
-    def _run_chunks(
-        self, target, stop_set, count, rng, reducer=None, arg=None, batches=False
-    ) -> list:
+    def _run_chunks(self, target, stop_set, count, rng, reducer=None, arg=None) -> list:
         require_non_negative_int(count, "count")
         generator = ensure_rng(rng)
         stop = stop_set if isinstance(stop_set, frozenset) else frozenset(stop_set)
@@ -621,10 +562,8 @@ class ParallelEngine:
         if reducer is not None:
             payloads = [(reducer, *payload, arg) for payload in payloads]
             run_pooled, run_local = _reduce_chunk, _reduce_chunk_on
-        elif batches:
-            run_pooled, run_local = _sample_batch_chunk, _sample_batch_chunk_on
         else:
-            run_pooled, run_local = _sample_chunk, _sample_chunk_on
+            run_pooled, run_local = _sample_batch_chunk, _sample_batch_chunk_on
         return self._dispatch(payloads, run_pooled, run_local)
 
     # ------------------------------------------------------------------ #
@@ -806,9 +745,7 @@ def sample_type1_indicators(
     """The type indicators ``y(ĝ)`` of ``count`` reverse samples, one byte each."""
     if isinstance(engine, ParallelEngine):
         return b"".join(engine.sample_reduced(target, stop_set, count, rng, _type1_indicator_bytes))
-    if getattr(engine, "native_batches", False):
-        return engine.sample_path_batch(target, stop_set, count, rng=rng).type1_bytes()
-    return _type1_indicator_bytes(engine.sample_paths(target, stop_set, count, rng=rng), None)
+    return engine.sample_path_batch(target, stop_set, count, rng=rng).type1_bytes()
 
 
 def sample_covered_indicators(
@@ -826,11 +763,7 @@ def sample_covered_indicators(
                 target, stop_set, count, rng, _covered_indicator_bytes, arg=invitation
             )
         )
-    if getattr(engine, "native_batches", False):
-        return engine.sample_path_batch(target, stop_set, count, rng=rng).covered_bytes(invitation)
-    return _covered_indicator_bytes(
-        engine.sample_paths(target, stop_set, count, rng=rng), invitation
-    )
+    return engine.sample_path_batch(target, stop_set, count, rng=rng).covered_bytes(invitation)
 
 
 def collect_type1(
@@ -853,11 +786,8 @@ def collect_type1(
         chunks = engine.sample_reduced(target, stop_set, count, rng, _type1_paths_only)
         paths: list[TargetPath] = []
         for chunk in chunks:
-            if isinstance(chunk, PathBatch):
-                # Packed type-1 columns off the wire; objects built here,
-                # once, only for the paths the MSC instance will consume.
-                paths.extend(chunk.attach(compiled).to_paths())
-            else:
-                paths.extend(chunk)
+            # Packed type-1 columns off the wire; objects built here, once,
+            # only for the paths the MSC instance will consume.
+            paths.extend(chunk.attach(compiled).to_paths())
         return paths, len(paths)
     return collect_type1_paths(engine, target, stop_set, count, rng=rng)

@@ -24,9 +24,9 @@ Lifecycle protocol (see DESIGN.md §7)
   the columns in, *unregisters it from the worker's resource tracker*
   (ownership moves to the parent -- a worker exiting must not unlink data
   the parent is still reading), closes its own mapping and returns the
-  descriptor.  Any failure (shared memory unavailable, ``/dev/shm`` full,
-  non-numpy columns) returns ``None`` and the caller falls back to pickling
-  the batch -- the transport degrades, the results do not change.
+  descriptor.  Any failure (shared memory unavailable, ``/dev/shm`` full)
+  returns ``None`` and the caller falls back to pickling the batch -- the
+  transport degrades, the results do not change.
 * **Adopt (parent).**  :func:`adopt` attaches the segment, builds the
   column views, and registers the segment in a per-process table of live
   adoptions.  A finalizer on the returned batch releases the segment --
@@ -41,8 +41,8 @@ Lifecycle protocol (see DESIGN.md §7)
   ``close()`` and the module sweeps at exit, so no orphan outlives its
   owning process.
 
-Everything here is optional: :func:`shm_available` gates on the platform
-and on numpy, and every caller has a pickling fallback.
+The transport is optional: :func:`shm_available` gates on the platform,
+and every caller has a pickling fallback.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ import uuid
 import weakref
 from dataclasses import dataclass
 
+import numpy as _np
+
 from repro.diffusion.path_batch import PathBatch
 from repro.exceptions import EngineError
 
@@ -60,11 +62,6 @@ try:  # optional: POSIX shared memory (absent on some exotic platforms)
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - exercised via monkeypatching
     _shared_memory = None
-
-try:  # optional dependency: zero-copy views require numpy columns
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 __all__ = [
     "TRANSPORTS",
@@ -116,18 +113,17 @@ def set_publish_failures(count: int) -> None:
 
 
 def shm_available() -> bool:
-    """Whether the zero-copy transport can run here (platform + numpy)."""
-    return _shared_memory is not None and _np is not None
+    """Whether the zero-copy transport can run on this platform."""
+    return _shared_memory is not None
 
 
-def resolve_transport(transport: str, native_batches: bool = True) -> str:
+def resolve_transport(transport: str) -> str:
     """Normalize a transport argument to ``"shm"`` or ``"pickle"``.
 
-    ``"auto"`` selects shared memory when it is available *and* the base
-    engine produces columnar batches (object-path chunks have nothing to
-    place in a segment).  An explicit ``"shm"`` is honoured even when the
-    runtime later falls back per-chunk -- the fallback is graceful, not an
-    error.  Unknown names raise :class:`~repro.exceptions.EngineError`.
+    ``"auto"`` selects shared memory when it is available, for every
+    engine.  An explicit ``"shm"`` is honoured even when the runtime later
+    falls back per-chunk -- the fallback is graceful, not an error.
+    Unknown names raise :class:`~repro.exceptions.EngineError`.
     """
     if not isinstance(transport, str) or transport.lower() not in TRANSPORTS:
         raise EngineError(
@@ -135,7 +131,7 @@ def resolve_transport(transport: str, native_batches: bool = True) -> str:
         )
     key = transport.lower()
     if key == "auto":
-        return "shm" if (shm_available() and native_batches) else "pickle"
+        return "shm" if shm_available() else "pickle"
     return key
 
 
@@ -200,8 +196,7 @@ def publish_batch(batch: PathBatch, prefix: "str | None" = None) -> "ShmBatchRef
     """Copy a columnar batch into a fresh segment; return its descriptor.
 
     Returns ``None`` -- meaning "fall back to pickling" -- when shared
-    memory is unavailable, the batch's columns are not numpy arrays, or the
-    segment cannot be created.  The worker's own mapping is closed before
+    memory is unavailable or the segment cannot be created.  The worker's own mapping is closed before
     returning; the parent is the segment's owner from here on.
     """
     global _FORCED_PUBLISH_FAILURES
@@ -209,8 +204,6 @@ def publish_batch(batch: PathBatch, prefix: "str | None" = None) -> "ShmBatchRef
         _FORCED_PUBLISH_FAILURES -= 1
         return None
     if not shm_available():
-        return None
-    if not isinstance(batch.offsets, _np.ndarray):
         return None
     num_paths = len(batch)
     num_nodes = int(batch.offsets[-1])

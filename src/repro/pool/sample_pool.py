@@ -37,27 +37,25 @@ reference that pooled results are bit-identical to.
 Columnar storage (DESIGN.md §6)
 -------------------------------
 
-Chunks are stored exactly as the engine hands them over: batch-native
-engines (the vectorized backend, alone or behind a
-:class:`~repro.parallel.engine.ParallelEngine`) yield columnar
-:class:`~repro.diffusion.path_batch.PathBatch` chunks whose columns never
-decay into per-path objects inside the pool -- indicator reads
-(:meth:`SamplePool.type1_indicators`,
+Chunks are stored exactly as the engine hands them over: every engine
+(alone or behind a :class:`~repro.parallel.engine.ParallelEngine`) yields
+columnar :class:`~repro.diffusion.path_batch.PathBatch` chunks whose
+columns never decay into per-path objects inside the pool -- indicator
+reads (:meth:`SamplePool.type1_indicators`,
 :meth:`SamplePool.covered_indicators`) reduce directly on the arrays, and
 :class:`TargetPath` objects are materialized lazily only where a caller
-asks for them.  Object-path engines store plain path lists; both forms
-serve the same canonical streams.
+asks for them.
 
 Memory is bounded two ways: at most ``max_targets`` keys are cached (LRU
 by key), and an optional ``budget`` caps the total cached paths across
 keys (least-recently-used keys are dropped first; the key currently being
 served is never dropped).  With ``spill_dir`` set, evicted keys persist
 as *append-safe per-chunk blobs*: each chunk is written once, as a
-``.npz`` array blob for columnar chunks or canonical JSON for object
-chunks, under a name derived from the key digest *and* the (pool seed,
-chunk size, CSR digest) triple -- so re-evicting a grown key writes only
-the new chunks (eviction cost is O(new samples), not O(key)), and spills
-from a foreign seed or a dead topology are simply never found.  A small
+``.npz`` array blob of its columns, under a name derived from the key
+digest *and* the (pool seed, chunk size, CSR digest) triple -- so
+re-evicting a grown key writes only the new chunks (eviction cost is
+O(new samples), not O(key)), and spills from a foreign seed or a dead
+topology are simply never found.  A small
 ``.meta.json`` per key (rewritten on each spill, O(1)) records the key
 metadata for validation and debugging.
 
@@ -100,11 +98,6 @@ from repro.utils.validation import (
     require_non_negative_int,
     require_positive_int,
 )
-
-try:  # optional dependency: .npz spill blobs only
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 __all__ = [
     "DEFAULT_POOL_CHUNK",
@@ -281,8 +274,8 @@ class SamplePool:
         from (any backend, including a
         :class:`~repro.parallel.engine.ParallelEngine`, whose seeded-chunk
         fan-out the pool uses to extend multiple chunks concurrently).
-        Batch-native engines fill the pool with columnar
-        :class:`~repro.diffusion.path_batch.PathBatch` chunks.
+        Chunks are stored as columnar
+        :class:`~repro.diffusion.path_batch.PathBatch` batches.
     seed:
         The pool's base seed.  Everything the pool ever returns is a pure
         function of ``(seed, key, index)``; derive it from the run's base
@@ -296,8 +289,8 @@ class SamplePool:
         to the cap; the key being served is never evicted).
     spill_dir:
         Optional directory for append-safe per-chunk spill blobs of
-        evicted keys (``.npz`` for columnar chunks, canonical JSON for
-        object chunks, plus one ``.meta.json`` per key).
+        evicted keys (one ``.npz`` per chunk plus one ``.meta.json`` per
+        key).
     reuse:
         ``False`` disables caching entirely: every request re-draws from
         the same canonical streams.  Results are bit-identical either way;
@@ -550,11 +543,10 @@ class SamplePool:
     def _chunk_seed(self, key_seed: int, index: int) -> int:
         return derive_seed(random.Random(key_seed), f"pool-chunk-{index}")
 
-    def _draw_chunks(self, entry: _PoolEntry, first: int, last: int) -> list:
+    def _draw_chunks(self, entry: _PoolEntry, first: int, last: int) -> list[PathBatch]:
         """Draw chunks ``[first, last)`` of the entry's canonical stream.
 
-        Returns one chunk per index -- a columnar batch from batch-native
-        engines, a path list otherwise -- ready to append to the store.
+        Returns one columnar batch per index, ready to append to the store.
         """
         sized_seeds = [
             (self._chunk_size, self._chunk_seed(entry.key_seed, index))
@@ -562,20 +554,12 @@ class SamplePool:
         ]
         engine = self._engine
         if isinstance(engine, ParallelEngine):
-            if engine.native_batches:
-                chunks = engine.sample_seeded_batches(entry.target, entry.stop_set, sized_seeds)
-            else:
-                chunks = engine.sample_seeded_chunks(entry.target, entry.stop_set, sized_seeds)
-        elif getattr(engine, "native_batches", False):
+            chunks = engine.sample_seeded_batches(entry.target, entry.stop_set, sized_seeds)
+        else:
             chunks = [
                 engine.sample_path_batch(
                     entry.target, entry.stop_set, size, rng=random.Random(seed)
                 )
-                for size, seed in sized_seeds
-            ]
-        else:
-            chunks = [
-                engine.sample_paths(entry.target, entry.stop_set, size, rng=random.Random(seed))
                 for size, seed in sized_seeds
             ]
         self._drawn += sum(len(chunk) for chunk in chunks)
@@ -760,9 +744,8 @@ class SamplePool:
     def _meta_path(self, tag: str) -> Path:
         return self._spill_dir / f"pool-{tag}.meta.json"
 
-    def _chunk_paths(self, tag: str, index: int) -> tuple[Path, Path]:
-        stem = f"pool-{tag}.chunk-{index:05d}"
-        return self._spill_dir / f"{stem}.npz", self._spill_dir / f"{stem}.json"
+    def _chunk_path(self, tag: str, index: int) -> Path:
+        return self._spill_dir / f"pool-{tag}.chunk-{index:05d}.npz"
 
     @staticmethod
     def _spillable_id(node: object) -> bool:
@@ -770,22 +753,9 @@ class SamplePool:
         # (tuples, dataclasses) is kept in memory only.
         return isinstance(node, (int, str)) and not isinstance(node, bool)
 
-    @classmethod
-    def _columnar_chunk(cls, chunk) -> bool:
-        return (
-            _np is not None
-            and isinstance(chunk, PathBatch)
-            and isinstance(chunk.offsets, _np.ndarray)
-        )
-
     def _spillable(self, entry: _PoolEntry) -> bool:
-        ids = {entry.target, *entry.stop_set}
-        for chunk in entry.store.chunks():
-            if self._columnar_chunk(chunk):
-                continue  # dense indices only; no ids ever serialized
-            paths = chunk.to_paths() if isinstance(chunk, PathBatch) else chunk
-            ids.update(node for path in paths for node in path.nodes)
-        return all(self._spillable_id(node) for node in ids)
+        # Blobs hold dense indices only; the key's own ids go into meta.json.
+        return all(self._spillable_id(node) for node in (entry.target, *entry.stop_set))
 
     def _write_canonical_json(self, path: Path, payload: dict) -> None:
         # Canonical encoding (sorted keys, fixed indent) and write-then-rename,
@@ -798,29 +768,15 @@ class SamplePool:
         """Write one chunk blob unless it is already on disk (append-safe:
         a chunk's contents are a pure function of its name, so an existing
         blob is never rewritten)."""
-        npz_path, json_path = self._chunk_paths(tag, index)
-        if npz_path.is_file() or json_path.is_file():
+        path = self._chunk_path(tag, index)
+        if path.is_file():
             return
         if self._fault_plan is not None and self._fault_plan.fires(SITE_SPILL_IO):
             raise OSError(f"injected spill fault writing chunk {index} of {tag}")
-        if self._columnar_chunk(chunk):
-            scratch = npz_path.with_name(npz_path.name + ".tmp")
-            with open(scratch, "wb") as handle:
-                chunk.save_npz(handle)
-            os.replace(scratch, npz_path)
-        else:
-            paths = chunk.to_paths() if isinstance(chunk, PathBatch) else chunk
-            payload = {
-                "paths": [
-                    {
-                        "nodes": ordered(path.nodes),
-                        "is_type1": path.is_type1,
-                        "anchor": path.anchor,
-                    }
-                    for path in paths
-                ]
-            }
-            self._write_canonical_json(json_path, payload)
+        scratch = path.with_name(path.name + ".tmp")
+        with open(scratch, "wb") as handle:
+            chunk.save_npz(handle)
+        os.replace(scratch, path)
         self._chunk_writes += 1
 
     def _spill(self, digest: str, entry: _PoolEntry) -> bool:
@@ -972,26 +928,14 @@ class SamplePool:
             )
         self._digest_history = adopted[-DIGEST_HISTORY_LIMIT:]
 
-    def _load_chunk_blob(self, tag: str, index: int, snapshot):
-        npz_path, json_path = self._chunk_paths(tag, index)
-        if npz_path.is_file():
-            if _np is None:
-                return None  # columnar blob, no numpy here: re-draw instead
-            # Columnar blobs store dense indices relative to the snapshot
-            # they were interned on -- attach exactly that snapshot so id
-            # materialization stays correct for historical generations.
-            return PathBatch.load_npz(npz_path, graph=snapshot)
-        if json_path.is_file():
-            payload = json.loads(json_path.read_text(encoding="utf-8"))
-            return [
-                TargetPath(
-                    nodes=frozenset(item["nodes"]),
-                    is_type1=item["is_type1"],
-                    anchor=item["anchor"],
-                )
-                for item in payload["paths"]
-            ]
-        return None
+    def _load_chunk_blob(self, tag: str, index: int, snapshot) -> "PathBatch | None":
+        path = self._chunk_path(tag, index)
+        if not path.is_file():
+            return None
+        # Blobs store dense indices relative to the snapshot they were
+        # interned on -- attach exactly that snapshot so id materialization
+        # stays correct for historical generations.
+        return PathBatch.load_npz(path, graph=snapshot)
 
     def _load_spilled(self, digest: str) -> "_PoolEntry | None":
         """Re-materialize a key from its spill blobs, if any are valid.

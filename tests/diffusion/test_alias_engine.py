@@ -15,21 +15,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.diffusion.engine import (
-    ENGINE_NAMES,
-    available_engines,
-    create_engine,
-    numpy_available,
-)
+from repro.diffusion.engine import ENGINE_NAMES, create_engine
 from repro.graph.social_graph import SocialGraph
-
-pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy is not installed")
 
 
 class TestRegistry:
     def test_alias_engine_is_registered(self):
         assert "numpy-alias" in ENGINE_NAMES
-        assert "numpy-alias" in available_engines()
 
     def test_name_is_the_stream_tag(self, medium_ba_graph):
         engine = create_engine(medium_ba_graph, "numpy-alias")
@@ -42,7 +34,6 @@ class TestRegistry:
         engine = create_engine(medium_ba_graph, "numpy-alias")
         assert isinstance(engine, NumpyAliasEngine)
         assert isinstance(engine, NumpyEngine)
-        assert engine.native_batches
 
     def test_auto_never_selects_the_alias_stream(self, medium_ba_graph):
         # "auto" must keep resolving to the default streams so existing

@@ -23,11 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.diffusion.engine import (
-    PythonEngine,
-    available_engines,
-    create_engine,
-)
+from repro.diffusion.engine import ENGINE_NAMES, PythonEngine, create_engine
 from repro.diffusion.path_batch import PathBatch, PathStore, TargetPath
 from repro.graph.compiled import compile_graph
 from repro.graph.generators import barabasi_albert_graph
@@ -41,8 +37,7 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-NUMPY = "numpy" in available_engines()
-requires_numpy = pytest.mark.skipif(not NUMPY, reason="requires numpy")
+ENGINES = [name for name in ENGINE_NAMES if name != "auto"]
 
 
 @pytest.fixture(scope="module")
@@ -133,15 +128,77 @@ class TestRoundTrip:
 
 
 class TestGenericEngineBatches:
-    @pytest.mark.parametrize("name", available_engines())
+    @pytest.mark.parametrize("name", ENGINES)
     def test_sample_path_batch_equals_sample_paths(self, setting, name):
         graph, target, stop = setting
         engine = create_engine(graph, name)
         batch = engine.sample_path_batch(target, stop, 500, rng=17)
         assert batch.to_paths() == engine.sample_paths(target, stop, 500, rng=17)
+        # Every engine writes numpy columns: the target leads every trace,
+        # and anchors are set exactly on the type-1 paths.
+        columns = (batch.offsets, batch.node_indices, batch.is_type1, batch.anchor_indices)
+        assert [column.dtype.name for column in columns] == ["int64", "int64", "bool", "int64"]
+        start = engine.compiled.index_of(target)
+        assert (batch.node_indices[batch.offsets[:-1]] == start).all()
+        assert ((batch.anchor_indices >= 0) == batch.is_type1).all()
 
 
-@requires_numpy
+class TestBatchKernelInvariants:
+    """Properties every engine's columnar kernel must hold trace by trace."""
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_anchor_is_a_parent_of_the_last_traced_node(self, setting, name):
+        graph, target, stop = setting
+        engine = create_engine(graph, name)
+        batch = engine.sample_path_batch(target, stop, 400, rng=23)
+        compiled = engine.compiled
+        stop_indices = set(compiled.indices_of(stop))
+        assert batch.is_type1.any()
+        for i in range(len(batch)):
+            lo, hi = int(batch.offsets[i]), int(batch.offsets[i + 1])
+            trace = batch.node_indices[lo:hi].tolist()
+            assert len(set(trace)) == len(trace)
+            assert not stop_indices & set(trace)
+            if batch.is_type1[i]:
+                last = trace[-1]
+                anchor = int(batch.anchor_indices[i])
+                assert anchor in stop_indices
+                parents = compiled.parents[compiled.indptr[last] : compiled.indptr[last + 1]]
+                assert anchor in list(parents)
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_target_in_stop_set_changes_nothing(self, setting, name):
+        # A walk back to the target closes a cycle before the stop check
+        # runs, so adding the target to the stop set leaves every draw as is.
+        graph, target, stop = setting
+        engine = create_engine(graph, name)
+        plain = engine.sample_path_batch(target, stop, 300, rng=5)
+        with_target = engine.sample_path_batch(target, frozenset(stop) | {target}, 300, rng=5)
+        for column in ("offsets", "node_indices", "is_type1", "anchor_indices"):
+            assert (getattr(plain, column) == getattr(with_target, column)).all()
+
+    def test_python_kernel_draws_once_per_traced_node(self, setting):
+        # Each step draws before it selects, and every trace ends on a
+        # draw that adds no node, so a trace of k nodes costs k draws.
+        graph, target, stop = setting
+        engine = PythonEngine(graph)
+        used, replay = random.Random(8), random.Random(8)
+        batch = engine.sample_path_batch(target, stop, 250, rng=used)
+        for _ in range(len(batch.node_indices)):
+            replay.random()
+        assert used.random() == replay.random()
+
+    def test_python_kernel_on_edgeless_graph(self):
+        graph = SocialGraph.from_edges([])
+        graph.add_node("x")
+        graph.add_node("y")
+        batch = PythonEngine(graph).sample_path_batch("x", {"y"}, 4, rng=1)
+        assert batch.offsets.tolist() == [0, 1, 2, 3, 4]
+        assert not batch.is_type1.any()
+        assert batch.anchor_indices.tolist() == [-1] * 4
+        assert batch.to_paths() == [TargetPath(nodes=frozenset({"x"}), is_type1=False)] * 4
+
+
 class TestColumnarKernelEquivalence:
     """The array-native kernel vs the retained per-walker reference kernel."""
 
@@ -223,7 +280,6 @@ class TestColumnarKernelEquivalence:
         assert a.getrandbits(64) == b.getrandbits(64)
 
 
-@requires_numpy
 class TestWireFormats:
     def test_pickle_detaches_and_reattaches(self, setting):
         graph, target, stop = setting
@@ -257,21 +313,16 @@ class TestWireFormats:
 
 
 class TestPathStore:
-    @pytest.mark.parametrize("name", available_engines())
+    @pytest.mark.parametrize("name", ENGINES)
     def test_cross_chunk_reads(self, setting, name):
         graph, target, stop = setting
         engine = create_engine(graph, name)
         store = PathStore()
         everything: list[TargetPath] = []
         for seed, count in ((1, 64), (2, 64), (3, 32)):
-            if getattr(engine, "native_batches", False):
-                chunk = engine.sample_path_batch(target, stop, count, rng=seed)
-                store.append(chunk)
-                everything.extend(chunk.to_paths())
-            else:
-                chunk = engine.sample_paths(target, stop, count, rng=seed)
-                store.append(chunk)
-                everything.extend(chunk)
+            chunk = engine.sample_path_batch(target, stop, count, rng=seed)
+            store.append(chunk)
+            everything.extend(chunk.to_paths())
         assert len(store) == 160
         invited = frozenset(graph.node_list()[:80])
         for lo, hi in ((0, 160), (10, 150), (64, 128), (63, 65), (40, 40)):

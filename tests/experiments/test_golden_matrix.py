@@ -22,7 +22,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.diffusion.engine import numpy_available
 from repro.experiments.matrix import MatrixSpec, run_matrix
 
 GOLDEN_ROOT = Path(__file__).resolve().parent.parent / "golden"
@@ -87,7 +86,6 @@ class TestGoldenMatrix:
         run_matrix(spec, tmp_path, workers=workers)
         _assert_matches_golden("matrix-python", tmp_path)
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy engine unavailable")
     def test_numpy_records_match_goldens(self, tmp_path):
         run_matrix(GOLDEN_SPECS["matrix-numpy"], tmp_path, workers=1)
         _assert_matches_golden("matrix-numpy", tmp_path)
@@ -114,9 +112,6 @@ def _regenerate() -> None:
     import tempfile
 
     for name, spec in GOLDEN_SPECS.items():
-        if "numpy" in name and not numpy_available():
-            print(f"skipping {name}: numpy unavailable")
-            continue
         target = _golden_dir(name)
         with tempfile.TemporaryDirectory() as scratch:
             run_matrix(spec, scratch, workers=1, echo=print)

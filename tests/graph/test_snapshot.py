@@ -15,13 +15,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 import repro
 from repro.cli import main
-from repro.diffusion.engine import available_engines, create_engine
+from repro.diffusion.engine import ENGINE_NAMES, create_engine
 from repro.exceptions import (
     SnapshotError,
     SnapshotFormatError,
@@ -247,7 +246,7 @@ class TestEngineBitIdentity:
         mapped = CompiledGraph.open(path)
         source, target = _sample_pair(graph)
         stop_set = graph.neighbor_set(source)
-        for name in available_engines():
+        for name in ENGINE_NAMES:
             if name == "auto":
                 continue
             reference = create_engine(graph, name).sample_paths(
@@ -263,9 +262,7 @@ class TestEngineBitIdentity:
         mapped = CompiledGraph.open(path)
         source, target = _sample_pair(graph)
         stop_set = graph.neighbor_set(source)
-        for name in ("numpy", "numpy-alias"):
-            if name not in available_engines():
-                continue
+        for name in ("python", "numpy", "numpy-alias"):
             reference = create_engine(graph, name).sample_path_batch(
                 target, stop_set, 200, rng=SEED
             )

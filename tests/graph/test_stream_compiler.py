@@ -8,9 +8,8 @@ it and saving (the reference route), for every weight scheme.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.exceptions import GraphFormatError, SnapshotFormatError
 from repro.graph.compiled import SNAPSHOT_COLUMNS, CompiledGraph, compile_graph

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.problem import ActiveFriendingProblem
 from repro.core.raf import RAFConfig, estimate_pmax, run_raf, run_sampling_framework
-from repro.diffusion.engine import available_engines, create_engine
+from repro.diffusion.engine import ENGINE_NAMES, create_engine
 from repro.diffusion.friending_process import estimate_acceptance_probability
 from repro.exceptions import EngineError
 from repro.experiments.pair_selection import screen_pmax
@@ -28,7 +28,7 @@ from repro.parallel import (
     resolve_worker_count,
 )
 
-ENGINES = available_engines()
+ENGINES = [name for name in ENGINE_NAMES if name != "auto"]
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,7 @@ import os
 
 import pytest
 
-from repro.diffusion.engine import available_engines, create_engine, numpy_available
+from repro.diffusion.engine import ENGINE_NAMES, create_engine
 from repro.exceptions import EngineError
 from repro.graph.compiled import CompiledGraph
 from repro.graph.generators import barabasi_albert_graph
@@ -31,7 +31,9 @@ from repro.graph.weights import apply_degree_normalized_weights
 from repro.parallel import ParallelEngine, fork_available, shm_available
 from repro.parallel import shm as shm_transport
 
-needs_shm = pytest.mark.skipif(not shm_available(), reason="shared memory or numpy unavailable")
+ENGINES = [name for name in ENGINE_NAMES if name != "auto"]
+
+needs_shm = pytest.mark.skipif(not shm_available(), reason="shared memory unavailable")
 needs_fork = pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
 
 
@@ -63,11 +65,7 @@ class TestResolveTransport:
 
     def test_auto_prefers_shm_for_columnar_engines(self):
         expected = "shm" if shm_available() else "pickle"
-        assert shm_transport.resolve_transport("auto", native_batches=True) == expected
-
-    def test_auto_falls_back_for_object_engines(self):
-        # An object-path engine has no columns to place in a segment.
-        assert shm_transport.resolve_transport("auto", native_batches=False) == "pickle"
+        assert shm_transport.resolve_transport("auto") == expected
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(EngineError):
@@ -76,14 +74,15 @@ class TestResolveTransport:
     def test_auto_without_shared_memory_is_pickle(self, monkeypatch):
         monkeypatch.setattr(shm_transport, "_shared_memory", None)
         assert not shm_transport.shm_available()
-        assert shm_transport.resolve_transport("auto", native_batches=True) == "pickle"
+        assert shm_transport.resolve_transport("auto") == "pickle"
 
     def test_engine_exposes_resolved_transport(self, graph):
-        numpy_engine = "numpy" if numpy_available() else "python"
-        engine = ParallelEngine(create_engine(graph, numpy_engine), workers=2)
-        expected = "shm" if (shm_available() and numpy_available()) else "pickle"
-        assert engine.transport == expected
-        assert ParallelEngine(create_engine(graph, "python"), workers=2).transport == "pickle"
+        # Every engine emits columnar batches, so "auto" means shm for all.
+        for backend in ENGINES:
+            engine = ParallelEngine(create_engine(graph, backend), workers=2)
+            assert engine.transport == ("shm" if shm_available() else "pickle")
+            pinned = ParallelEngine(create_engine(graph, backend), workers=2, transport="pickle")
+            assert pinned.transport == "pickle"
 
 
 @needs_shm
@@ -131,17 +130,6 @@ class TestPublishAdopt:
         del adopted
         gc.collect()
         assert not _segment_on_disk(ref.name)
-
-    def test_non_numpy_columns_fall_back_to_pickle(self):
-        # Columns that are not numpy arrays have no buffer to copy in.
-        from array import array
-
-        from repro.diffusion.path_batch import PathBatch
-
-        batch = PathBatch(
-            array("q", [0, 1]), array("q", [3]), array("b", [1]), array("q", [0]), None
-        )
-        assert shm_transport.publish_batch(batch) is None
 
     def test_segment_creation_failure_falls_back_to_pickle(self, graph, pair, monkeypatch):
         # /dev/shm exhaustion (or any create failure) degrades per-chunk.
@@ -228,9 +216,7 @@ class TestOrphanSweep:
 
 @needs_fork
 class TestTransportTransparency:
-    @pytest.mark.parametrize(
-        "backend", [name for name in available_engines() if name != "python"]
-    )
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_batches_identical_across_transports(self, graph, pair, backend):
         source, target = pair
         stop = graph.neighbor_set(source)
@@ -251,7 +237,6 @@ class TestTransportTransparency:
             if name.startswith(shm_transport.default_prefix())
         ]
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy is not installed")
     def test_seeded_batches_identical_across_transports(self, graph, pair):
         source, target = pair
         stop = graph.neighbor_set(source)
@@ -268,7 +253,6 @@ class TestTransportTransparency:
                 fanned.close()
             assert [chunk.to_paths() for chunk in chunks] == expected
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy is not installed")
     def test_worker_side_fallback_when_segments_unavailable(self, graph, pair, monkeypatch):
         """Explicit transport="shm" with no shared memory degrades per-chunk
         to pickling -- same results, no error.  The monkeypatch is applied
@@ -315,8 +299,7 @@ class TestForkInheritsSnapshot:
         monkeypatch.setattr(CompiledGraph, "__reduce_ex__", _refuse, raising=False)
         source, target = pair
         stop = graph.neighbor_set(source)
-        backend = "numpy" if numpy_available() else "python"
-        base = create_engine(graph, backend)
+        base = create_engine(graph, "numpy")
         fanned = ParallelEngine(base, workers=2, chunk_size=64, transport=transport)
         try:
             batch = fanned.sample_path_batch(target, stop, 256, rng=29)

@@ -265,8 +265,6 @@ class TestEngineSourceGraph:
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 class TestBackendParity:
     def test_retention_is_backend_agnostic(self, backend):
-        if backend == "numpy":
-            pytest.importorskip("numpy")
         graph = two_region_graph()
         pool = SamplePool(create_engine(graph, backend), seed=9, chunk_size=16)
         stop = graph.neighbor_set(0)

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
-from repro.diffusion.engine import available_engines, create_engine
+from repro.diffusion.engine import create_engine
 from repro.faults import SITE_SPILL_IO, FaultPlan
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.social_graph import SocialGraph
@@ -239,7 +237,6 @@ class TestLineageRecordHygiene:
         pool.paths(40, graph.neighbor_set(0), 32, STREAM_PMAX)
         assert list(tmp_path.glob("pool-lineage-*.json")) == []
 
-    @pytest.mark.skipif("numpy" not in available_engines(), reason="requires numpy")
     def test_adoption_requires_matching_engine_name(self, tmp_path):
         graph = two_region_graph()
         writer = _pool(graph, tmp_path)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.diffusion.engine import available_engines, create_engine
+from repro.diffusion.engine import ENGINE_NAMES, create_engine
 from repro.graph.datasets import load_dataset
 from repro.parallel.engine import ParallelEngine
 from repro.pool import (
@@ -16,6 +16,9 @@ from repro.pool import (
     SamplePool,
     pool_key_digest,
 )
+from repro.types import ordered
+
+ENGINES = [name for name in ENGINE_NAMES if name != "auto"]
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +84,7 @@ class TestCanonicalStreams:
             engine, seed=2
         ).paths(target, stop, 50)
 
-    @pytest.mark.parametrize("name", available_engines())
+    @pytest.mark.parametrize("name", ENGINES)
     def test_parallel_engine_matches_serial(self, setting, name):
         graph, target, stop = setting
         base = create_engine(graph, name)
@@ -192,14 +195,55 @@ class TestSpill:
         pool.paths(nodes[5], stop, 50)
         assert pool.spill_all() == 1
         (meta_file,) = tmp_path.glob("pool-*.meta.json")
-        (chunk_file,) = tmp_path.glob("pool-*.chunk-*.json")
-        for spill_file in (meta_file, chunk_file):
-            payload = json.loads(spill_file.read_text(encoding="utf-8"))
-            assert spill_file.read_text(encoding="utf-8") == json.dumps(
-                payload, indent=2, sort_keys=True
-            )
-        assert json.loads(meta_file.read_text(encoding="utf-8"))["pool_seed"] == 5
+        payload = json.loads(meta_file.read_text(encoding="utf-8"))
+        assert meta_file.read_text(encoding="utf-8") == json.dumps(
+            payload, indent=2, sort_keys=True
+        )
+        assert payload["pool_seed"] == 5
+        assert payload["engine"] == "python"
+        # Every engine spills its chunks as .npz column blobs, never JSON.
+        (chunk_file,) = tmp_path.glob("pool-*.chunk-*")
+        assert chunk_file.name.endswith(".chunk-00000.npz")
+        assert not list(tmp_path.glob("pool-*.chunk-*.json"))
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_json_chunk_spills_load_cold(self, graph, tmp_path):
+        """A spill dir in the older layout (JSON chunk blobs beside the
+        meta) is never read: the key is re-drawn, byte-identical to cold."""
+        nodes = graph.node_list()
+        target, stop = nodes[5], graph.neighbor_set(nodes[0])
+        cold = SamplePool(create_engine(graph, "python"), seed=5)
+        expected = cold.paths(target, stop, 50)
+        expected_bytes = cold.type1_indicators(target, stop, 50)
+        pool = SamplePool(create_engine(graph, "python"), seed=5, spill_dir=tmp_path)
+        digest = pool_key_digest(target, stop)
+        tag = pool._spill_tag(digest)
+        meta = {
+            "digest": digest,
+            "target": target,
+            "stop": ordered(stop),
+            "stream": "",
+            "pool_seed": 5,
+            "chunk_size": pool.chunk_size,
+            "csr": pool._csr_digest,
+            "engine": "python",
+            "chunks_drawn": 1,
+        }
+        chunk = {
+            "paths": [
+                {"nodes": ordered(p.nodes), "is_type1": p.is_type1, "anchor": p.anchor}
+                for p in cold.paths(target, stop, pool.chunk_size)
+            ]
+        }
+        for name, payload in (("meta", meta), ("chunk-00000", chunk)):
+            (tmp_path / f"pool-{tag}.{name}.json").write_text(
+                json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
+            )
+        fresh = SamplePool(create_engine(graph, "python"), seed=5, spill_dir=tmp_path)
+        assert fresh.paths(target, stop, 50) == expected
+        assert fresh.type1_indicators(target, stop, 50) == expected_bytes
+        assert fresh.stats().loads == 0
+        assert fresh.stats().drawn_paths == fresh.chunk_size
 
     def test_eviction_rewrites_only_new_chunks(self, graph, tmp_path):
         """Append-safe spill: re-evicting a grown key costs O(new chunks)."""
@@ -365,7 +409,7 @@ class TestReaderIndicators:
 
 
 class TestTypeOnePaths:
-    @pytest.mark.parametrize("name", available_engines())
+    @pytest.mark.parametrize("name", ENGINES)
     def test_type1_paths_equals_filtering(self, setting, name):
         graph, target, stop = setting
         pool = SamplePool(create_engine(graph, name), seed=11)
@@ -373,9 +417,8 @@ class TestTypeOnePaths:
         assert pool.type1_paths(target, stop, 2000) == filtered
 
 
-@pytest.mark.skipif("numpy" not in available_engines(), reason="requires numpy")
 class TestColumnarPool:
-    """The pool's columnar storage path (batch-native engines)."""
+    """The pool's columnar storage path (numpy engines)."""
 
     def test_columnar_chunks_are_stored(self, setting):
         from repro.diffusion.path_batch import PathBatch

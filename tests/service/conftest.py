@@ -42,9 +42,12 @@ class GatedEngine:
         return self.sample_paths(target, stop_set, 1, rng=rng)[0]
 
     def sample_paths(self, target, stop_set, count, rng=None):
+        return self.sample_path_batch(target, stop_set, count, rng=rng).to_paths()
+
+    def sample_path_batch(self, target, stop_set, count, rng=None):
         self.entered.set()
         assert self.release.wait(timeout=30.0), "test never released the gated engine"
-        return self.base.sample_paths(target, stop_set, count, rng=rng)
+        return self.base.sample_path_batch(target, stop_set, count, rng=rng)
 
 
 @pytest.fixture(scope="module")
