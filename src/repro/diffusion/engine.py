@@ -56,6 +56,7 @@ contract).
 
 from __future__ import annotations
 
+import threading
 from array import array
 from bisect import bisect_right
 from typing import Iterable, Protocol, runtime_checkable
@@ -288,6 +289,10 @@ class NumpyEngine(_EngineBase):
     kernel as the reference path, and also serves as the fallback when the
     visited matrix for a request would exceed
     :data:`NumpyEngine.STAMP_CELL_LIMIT` cells.
+
+    One instance may be sampled from several threads: a batch (and a
+    re-snapshot) holds the engine's lock, so concurrent calls serialize and
+    each returns exactly the paths it would return alone.
     """
 
     __slots__ = (
@@ -302,6 +307,7 @@ class NumpyEngine(_EngineBase):
         "_alias_index",
         "_stamps",
         "_stamp_epoch",
+        "_lock",
     )
     name = "numpy"
 
@@ -330,7 +336,14 @@ class NumpyEngine(_EngineBase):
     def __init__(self, graph: SocialGraph | CompiledGraph) -> None:
         super().__init__(graph)
         self._np = _np
+        self._lock = threading.RLock()
         self._rebind(self._compiled)
+
+    @property
+    def compiled(self) -> CompiledGraph:
+        """The (current) frozen CSR snapshot; re-snapshots under the lock."""
+        with self._lock:
+            return super().compiled
 
     def _rebind(self, compiled: CompiledGraph) -> None:
         """Bind the engine's array views to a (possibly re-)compiled snapshot.
@@ -449,34 +462,35 @@ class NumpyEngine(_EngineBase):
         and memory-mapped snapshots of the same graph.
         """
         require_non_negative_int(count, "count")
-        np = self._np
-        nprng = self._batch_rng(rng)
-        compiled = self.compiled  # re-snapshots (and rebinds arrays) if stale
-        start = compiled.index_of(target)
-        if count == 0:
-            return PathBatch.empty(compiled)
-        if self._parents.size == 0:  # edgeless graph: every walk dies at once
-            offsets = np.arange(count + 1, dtype=np.int64)
-            return PathBatch(
-                offsets,
-                np.full(count, start, dtype=np.int64),
-                np.zeros(count, dtype=bool),
-                np.full(count, -1, dtype=np.int64),
-                compiled,
-            )
-        stop_mask = self._stop_mask(compiled, stop_set)
-        if count * len(compiled) > self.STAMP_CELL_LIMIT:
-            # The visited matrix would not fit: fall back to the per-walker
-            # reference kernel (same draws, same paths) and columnarize.
-            paths = self._reference_kernel(compiled, start, stop_mask, count, nprng)
-            return PathBatch.from_paths(paths, compiled)
-        try:
-            return self._columnar_kernel(compiled, start, stop_mask, count, nprng)
-        finally:
-            stamps = self._stamps
-            if stamps is not None and stamps.size > self.STAMP_RETAIN_CELLS:
-                self._stamps = None  # oversized: rebuilt (zeroed) on demand
-                self._stamp_epoch = 0
+        with self._lock:
+            np = self._np
+            nprng = self._batch_rng(rng)
+            compiled = self.compiled  # re-snapshots (and rebinds arrays) if stale
+            start = compiled.index_of(target)
+            if count == 0:
+                return PathBatch.empty(compiled)
+            if self._parents.size == 0:  # edgeless graph: every walk dies at once
+                offsets = np.arange(count + 1, dtype=np.int64)
+                return PathBatch(
+                    offsets,
+                    np.full(count, start, dtype=np.int64),
+                    np.zeros(count, dtype=bool),
+                    np.full(count, -1, dtype=np.int64),
+                    compiled,
+                )
+            stop_mask = self._stop_mask(compiled, stop_set)
+            if count * len(compiled) > self.STAMP_CELL_LIMIT:
+                # The visited matrix would not fit: fall back to the per-walker
+                # reference kernel (same draws, same paths) and columnarize.
+                paths = self._reference_kernel(compiled, start, stop_mask, count, nprng)
+                return PathBatch.from_paths(paths, compiled)
+            try:
+                return self._columnar_kernel(compiled, start, stop_mask, count, nprng)
+            finally:
+                stamps = self._stamps
+                if stamps is not None and stamps.size > self.STAMP_RETAIN_CELLS:
+                    self._stamps = None  # oversized: rebuilt (zeroed) on demand
+                    self._stamp_epoch = 0
 
     def _columnar_kernel(self, compiled, start, stop_mask, count, nprng) -> PathBatch:
         np = self._np

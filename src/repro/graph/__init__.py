@@ -49,7 +49,6 @@ from repro.graph.io import (
     graph_from_dict,
 )
 from repro.graph.metrics import GraphStats, compute_stats, degree_histogram
-from repro.graph.sampling import bfs_sample, forest_fire_sample, random_node_sample
 from repro.graph.traversal import (
     bfs_distances,
     biconnected_components,
@@ -96,9 +95,6 @@ __all__ = [
     "GraphStats",
     "compute_stats",
     "degree_histogram",
-    "random_node_sample",
-    "bfs_sample",
-    "forest_fire_sample",
     "bfs_distances",
     "shortest_path",
     "vertex_disjoint_shortest_paths",

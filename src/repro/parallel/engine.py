@@ -29,8 +29,10 @@ Execution falls back to an in-process loop (same chunking, same seeds, same
 results) when ``workers <= 1``, when the request is a single chunk, or when
 the platform lacks the ``fork`` start method (workers inherit the compiled
 graph by forking; shipping it by pickle to spawned processes would cost more
-than it saves).  The pool is created lazily on first parallel dispatch,
-reused across calls, and torn down when the engine is closed or collected.
+than it saves).  The pool is forked by :meth:`ParallelEngine.start` -- or,
+failing that, on first parallel dispatch -- reused across calls, and torn
+down when the engine is closed or collected.  One engine may serve several
+threads: dispatches and pool teardown are serialized on the engine's lock.
 
 Transport (DESIGN.md §7): every chunk is a columnar
 :class:`~repro.diffusion.path_batch.PathBatch`; finished chunks travel back
@@ -51,6 +53,7 @@ import multiprocessing
 import os
 import random
 import signal
+import threading
 import time
 import weakref
 from typing import Iterable
@@ -153,6 +156,10 @@ def _init_worker(
     _WORKER_ENGINE = engine
     _WORKER_TRANSPORT = transport
     _WORKER_SHM_PREFIX = shm_prefix
+    # The fork may have caught another parent thread holding the engine's
+    # lock; that thread does not exist here, so the worker starts unlocked.
+    if hasattr(engine, "_lock"):
+        engine._lock = threading.RLock()
     # A memory-mapped snapshot is re-opened read-only by path in each worker
     # rather than sampled through the mappings inherited from the parent at
     # fork time: every worker then holds its own file-backed views (the OS
@@ -310,6 +317,9 @@ class ParallelEngine:
         self._pool = None
         self._pool_finalizer = None
         self._pool_snapshot = None
+        # Guards the pool lifecycle and the crash bookkeeping: concurrent
+        # dispatches take turns, and close() never tears a pool down under one.
+        self._lock = threading.RLock()
         self.name = f"parallel[{base.name}x{resolved}]"
 
     # ------------------------------------------------------------------ #
@@ -392,6 +402,22 @@ class ParallelEngine:
     # Pool lifecycle
     # ------------------------------------------------------------------ #
 
+    def _forks(self) -> bool:
+        """Whether multi-chunk dispatches go to a worker pool at all."""
+        return self._workers > 1 and fork_available() and not self._degraded
+
+    def start(self) -> None:
+        """Fork the worker pool now rather than on the first dispatch.
+
+        A server calls this before it starts any thread, so no worker is
+        forked from a process whose other threads may hold locks.  A no-op
+        when the engine never forks (one worker, no ``fork``, degraded) or
+        the pool is already up.
+        """
+        with self._lock:
+            if self._forks():
+                self._ensure_pool()
+
     def _ensure_pool(self):
         # Workers inherit the base engine's CSR snapshot at fork time, so a
         # pool forked before the source graph was mutated would keep sampling
@@ -419,15 +445,17 @@ class ParallelEngine:
         a later parallel dispatch simply forks a fresh pool).  Also sweeps
         shared-memory orphans: with the pool gone no descriptor is in
         flight, so any surviving segment under this process's prefix is the
-        leftover of a crashed worker and is unlinked."""
-        had_pool = self._pool is not None
-        if self._pool_finalizer is not None:
-            self._pool_finalizer()
-            self._pool_finalizer = None
-        self._pool = None
-        self._pool_snapshot = None
-        if had_pool and self._transport == "shm":
-            shm_transport.sweep_orphans()
+        leftover of a crashed worker and is unlinked.  Waits for a dispatch
+        running on another thread to finish first."""
+        with self._lock:
+            had_pool = self._pool is not None
+            if self._pool_finalizer is not None:
+                self._pool_finalizer()
+                self._pool_finalizer = None
+            self._pool = None
+            self._pool_snapshot = None
+            if had_pool and self._transport == "shm":
+                shm_transport.sweep_orphans()
 
     async def aclose(self) -> None:
         """Async counterpart of :meth:`close` (same idempotence guarantee).
@@ -578,15 +606,10 @@ class ParallelEngine:
         contents are pure functions of their seeds, so both paths return
         the identical list.
         """
-        if not payloads:
-            return []
-        if (
-            self._workers > 1
-            and len(payloads) > 1
-            and fork_available()
-            and not self._degraded
-        ):
-            return self._dispatch_pooled(payloads, run_pooled, run_local)
+        if len(payloads) > 1 and self._forks():
+            with self._lock:
+                if not self._degraded:  # another thread may have degraded it
+                    return self._dispatch_pooled(payloads, run_pooled, run_local)
         return [run_local(self._base, payload) for payload in payloads]
 
     def _worker_pids(self) -> frozenset:

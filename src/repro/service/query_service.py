@@ -69,7 +69,7 @@ from repro.exceptions import (
 from repro.graph.social_graph import SocialGraph
 from repro.parallel.engine import maybe_parallel
 from repro.pool.sample_pool import SamplePool
-from repro.diffusion.engine import resolve_engine
+from repro.diffusion.engine import SamplingEngine, resolve_engine
 from repro.types import NodeId
 from repro.utils.validation import require_positive, require_positive_int
 
@@ -278,6 +278,24 @@ class ServiceMetrics:
         return max(0.0, 1.0 - self.samples_drawn / self.samples_served)
 
 
+def serving_engine(
+    graph: SocialGraph, engine, workers: int | str | None = None, fault_plan=None
+) -> SamplingEngine:
+    """The engine a service or server samples with.
+
+    ``engine`` (a name or an instance built on ``graph``) is resolved,
+    wrapped for ``workers`` with the ``"serial"`` crash policy -- persistent
+    worker crashes degrade to in-process sampling instead of failing
+    queries -- and handed ``fault_plan``.  An instance that needs no
+    wrapper comes back as itself; anything else is new and belongs to the
+    caller.
+    """
+    built = maybe_parallel(resolve_engine(graph, engine), workers, on_worker_failure="serial")
+    if fault_plan is not None and hasattr(built, "inject_faults"):
+        built.inject_faults(fault_plan)
+    return built
+
+
 class _InFlight:
     """One execution and the latch its coalesced followers wait on."""
 
@@ -298,7 +316,8 @@ class QueryService:
         The weighted friendship graph every query runs against.
     engine:
         Reverse-sampling backend name (``"python"``, ``"numpy"``, ``"auto"``)
-        or an engine instance built on ``graph``.
+        or an engine instance built on ``graph``.  The service closes only
+        an engine it built; a passed-in instance stays its caller's.
     workers:
         Optional worker-process fan-out for the sampling batches (a positive
         integer or ``"auto"``); results are identical for every worker count.
@@ -322,11 +341,11 @@ class QueryService:
         ``repro serve --fault-seed`` soak runs use this.  Never set in
         production.
 
-    A service's parallel engine runs with ``on_worker_failure="serial"``:
-    if sampling workers keep dying past the retry budget, the service
-    degrades to in-process sampling (byte-identical answers, reduced
-    throughput) instead of failing queries -- the :attr:`degraded` flag
-    records the downgrade for ``stats``/``healthz`` (DESIGN.md §11).
+    The engine comes from :func:`serving_engine`: if sampling workers keep
+    dying past the retry budget, the service degrades to in-process
+    sampling (byte-identical answers, reduced throughput) instead of
+    failing queries -- the :attr:`degraded` flag records the downgrade for
+    ``stats``/``healthz`` (DESIGN.md §11).
     """
 
     def __init__(
@@ -347,11 +366,8 @@ class QueryService:
         if max_query_samples is not None:
             require_positive_int(max_query_samples, "max_query_samples")
         self._graph = graph
-        self._engine = maybe_parallel(
-            resolve_engine(graph, engine), workers, on_worker_failure="serial"
-        )
-        if fault_plan is not None and hasattr(self._engine, "inject_faults"):
-            self._engine.inject_faults(fault_plan)
+        self._engine = serving_engine(graph, engine, workers, fault_plan)
+        self._owns_engine = self._engine is not engine
         self._pool = SamplePool(
             self._engine, seed=seed, budget=pool_budget, fault_plan=fault_plan
         )
@@ -462,25 +478,25 @@ class QueryService:
         return self._closed
 
     def close(self) -> None:
-        """Release the async executor and any sampling worker pool.
+        """Release the async executor and the worker pool of a built engine.
 
         Marks the service closed *first* -- a submission racing ``close()``
         from another thread fails fast with a typed
         :class:`~repro.exceptions.ServiceClosedError` (see :meth:`_claim`)
         instead of hanging on a latch or hitting a dead executor -- then
-        waits for async submissions, then takes the execution lock before
-        tearing down the engine, so an already-admitted ``submit`` finishes
-        its sampling instead of losing its worker pool mid-query.
-        Idempotent.
+        waits for async submissions.  An engine the service built is torn
+        down under the execution lock, so an already-admitted ``submit``
+        finishes its sampling instead of losing its worker pool mid-query;
+        a passed-in engine is left to its owner.  Idempotent.
         """
         with self._state_lock:
             self._closed = True
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
-        with self._pool_lock:
-            close = getattr(self._engine, "close", None)
-            if close is not None:
+        close = getattr(self._engine, "close", None)
+        if self._owns_engine and close is not None:
+            with self._pool_lock:
                 close()
 
     def __enter__(self) -> "QueryService":

@@ -21,10 +21,13 @@ coalescing + ``max_in_flight`` admission (DESIGN.md §9 is the normative
 description):
 
 * **Tenancy.**  The ``tenant`` field names an isolation domain.  Each
-  tenant gets its *own* ``QueryService`` -- its own ``SamplePool`` and
-  coalesce map over a shared graph, created lazily on first use and capped
-  by ``max_tenants``.  Every tenant pool uses the same seed, so answers
-  are tenant-independent and byte-identical to standalone fresh-pool runs
+  tenant gets its *own* ``QueryService`` -- its own ``SamplePool``, token
+  bucket, coalesce map and counters, created lazily on first use and
+  capped by ``max_tenants``.  Sampling is not per tenant: the server
+  builds one engine (and, with ``workers``, one worker pool, forked in
+  :meth:`QueryServer.start` before any thread runs) and every tenant
+  draws from it.  Every tenant pool uses the same seed, so answers are
+  tenant-independent and byte-identical to standalone fresh-pool runs
   (the pool contract: a sample is a pure function of ``(seed, key, i)``).
 * **Token-bucket budgets.**  Per tenant: capacity ``tenant_burst`` sample
   units refilling at ``tenant_rate`` units/second (both ``None`` =
@@ -73,7 +76,7 @@ from repro.exceptions import (
 )
 from repro.experiments.records import to_jsonable
 from repro.graph.social_graph import SocialGraph
-from repro.service.query_service import QUERY_KINDS, QueryService
+from repro.service.query_service import QUERY_KINDS, QueryService, serving_engine
 from repro.utils.validation import require_positive, require_positive_int
 
 __all__ = [
@@ -216,11 +219,13 @@ class _Envelope:
 class QueryServer:
     """Asyncio TCP/HTTP front end multiplexing clients over per-tenant pools.
 
-    Parameters mirror :class:`QueryService` (``graph`` / ``engine`` /
-    ``workers`` / ``seed`` / ``pool_budget`` / ``max_in_flight`` /
-    ``max_query_samples`` / ``coalesce`` / ``fault_plan`` apply to every
-    tenant's service),
-    plus the serving controls described in the module docstring:
+    Parameters mirror :class:`QueryService`.  ``engine`` / ``workers`` /
+    ``fault_plan`` build the server's one sampling engine, which every
+    tenant shares (a passed-in engine instance stays its caller's: the
+    server does not close it); ``seed`` / ``pool_budget`` /
+    ``max_in_flight`` / ``max_query_samples`` / ``coalesce`` /
+    ``fault_plan`` apply to every tenant's service.  Then come the
+    serving controls described in the module docstring:
     ``tenant_burst`` / ``tenant_rate`` (token bucket, sample units),
     ``max_tenants``, ``connection_window``, ``default_deadline_ms``, and an
     injectable ``clock`` for deterministic budget tests.
@@ -231,9 +236,6 @@ class QueryServer:
         await server.start()        # server.port is now bound
         ...
         await server.aclose()
-
-    ``engine`` may also be a factory ``() -> engine-instance`` so tests can
-    hand each tenant's service its own gated engine.
     """
 
     def __init__(
@@ -268,9 +270,9 @@ class QueryServer:
         if default_deadline_ms is not None:
             require_positive(default_deadline_ms, "default_deadline_ms")
         self._graph = graph
-        self._engine = engine
+        self._engine = serving_engine(graph, engine, workers, fault_plan)
+        self._owns_engine = self._engine is not engine
         self._service_kwargs = dict(
-            workers=workers,
             seed=seed,
             pool_budget=pool_budget,
             max_in_flight=max_in_flight,
@@ -311,12 +313,23 @@ class QueryServer:
         return self._host
 
     async def start(self) -> None:
-        """Bind the listening socket and start accepting connections."""
+        """Fork the engine's worker pool, then bind and start accepting.
+
+        The fork comes first: binding may resolve the host on the event
+        loop's executor threads, and a process running threads must not fork.
+        """
         if self._server is not None:
             raise ServiceError("server is already started")
-        self._server = await asyncio.start_server(
-            self._accept, host=self._host, port=self._port, limit=_READ_LIMIT
-        )
+        start = getattr(self._engine, "start", None)
+        if start is not None:
+            start()
+        try:
+            self._server = await asyncio.start_server(
+                self._accept, host=self._host, port=self._port, limit=_READ_LIMIT
+            )
+        except BaseException:
+            await self._close_engine()
+            raise
         sockets = self._server.sockets or ()
         if sockets:
             self._port = sockets[0].getsockname()[1]
@@ -326,7 +339,8 @@ class QueryServer:
 
         In-flight executions finish on their worker threads (each tenant
         service's ``close()`` waits for them); their responses are not
-        delivered -- the sockets are already gone.
+        delivered -- the sockets are already gone.  The shared engine is
+        closed last, once every tenant has drained.
         """
         self._closing = True
         if self._server is not None:
@@ -342,6 +356,13 @@ class QueryServer:
             # close() blocks on in-flight work; keep the event loop alive.
             await asyncio.to_thread(tenant.service.close)
         self._tenants.clear()
+        await self._close_engine()
+
+    async def _close_engine(self) -> None:
+        """Tear down the engine's worker pool, if this server built it."""
+        close = getattr(self._engine, "close", None)
+        if self._owns_engine and close is not None:
+            await asyncio.to_thread(close)
 
     async def __aenter__(self) -> "QueryServer":
         await self.start()
@@ -392,19 +413,15 @@ class QueryServer:
                 "tenant_count": len(self._tenants),
                 "max_tenants": self._max_tenants,
                 "connection_window": self._connection_window,
-                "degraded": self._degraded(),
+                "degraded": bool(getattr(self._engine, "degraded", False)),
             },
             "tenants": tenants,
         }
 
-    def _degraded(self) -> bool:
-        """Whether any tenant's engine fell back to serial sampling."""
-        return any(tenant.service.degraded for tenant in self._tenants.values())
-
     def health(self) -> dict:
         """The ``/healthz`` payload: alive-ness, never gated on admission.
 
-        ``degraded`` flips to ``True`` when any tenant's sampling engine
+        ``degraded`` flips to ``True`` when the server's sampling engine
         has fallen back to in-process serial mode after repeated worker
         crashes -- the server still answers (byte-identically) but at
         reduced throughput, so operators can alert on it (DESIGN.md §11).
@@ -412,7 +429,7 @@ class QueryServer:
         return {
             "ok": True,
             "status": "closing" if self._closing else "serving",
-            "degraded": self._degraded(),
+            "degraded": bool(getattr(self._engine, "degraded", False)),
             "in_flight": self._inflight,
             "tenants": len(self._tenants),
         }
@@ -433,12 +450,9 @@ class QueryServer:
         bucket = None
         if self._tenant_burst is not None:
             bucket = TokenBucket(self._tenant_burst, self._tenant_rate, clock=self._clock)
-        engine = self._engine
-        if callable(engine) and not isinstance(engine, (str, type)):
-            engine = engine()
         tenant = _Tenant(
             name=name,
-            service=QueryService(self._graph, engine=engine, **self._service_kwargs),
+            service=QueryService(self._graph, engine=self._engine, **self._service_kwargs),
             bucket=bucket,
         )
         self._tenants[name] = tenant

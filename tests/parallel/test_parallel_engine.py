@@ -10,6 +10,7 @@ only on the request, never on the degree of parallelism or on scheduling.
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.diffusion.engine import ENGINE_NAMES, create_engine
 from repro.diffusion.friending_process import estimate_acceptance_probability
 from repro.exceptions import EngineError
 from repro.experiments.pair_selection import screen_pmax
+from repro.faults import FaultPlan
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.weights import apply_degree_normalized_weights
 from repro.parallel import (
@@ -237,6 +239,79 @@ class TestFallbacks:
         # On the Linux CI/dev platforms this is simply true; the call must
         # never raise anywhere.
         assert isinstance(fork_available(), bool)
+
+
+@pytest.mark.skipif(not fork_available(), reason="platform lacks the fork start method")
+class TestStart:
+    def test_start_forks_the_pool_that_dispatches_reuse(self, graph, pair):
+        source, target = pair
+        with ParallelEngine(create_engine(graph, "python"), workers=2, chunk_size=16) as engine:
+            engine.start()
+            forked = engine._worker_pids()
+            engine.start()  # already up: forks nothing new
+            assert len(forked) == 2 and engine._worker_pids() == forked
+            engine.sample_paths(target, graph.neighbor_set(source), 64, rng=3)
+            assert engine._worker_pids() == forked
+        assert engine._worker_pids() == frozenset()
+
+    def test_start_forks_nothing_for_one_worker(self, graph):
+        with ParallelEngine(create_engine(graph, "python"), workers=1) as engine:
+            engine.start()
+            assert engine._pool is None
+
+    def test_start_after_close_forks_a_fresh_pool(self, graph):
+        with ParallelEngine(create_engine(graph, "python"), workers=2) as engine:
+            engine.start()
+            first = engine._worker_pids()
+            engine.close()
+            engine.start()
+            second = engine._worker_pids()
+            assert len(second) == 2 and not first & second
+
+    def test_start_forks_nothing_without_fork(self, graph, monkeypatch):
+        monkeypatch.setattr("repro.parallel.engine.fork_available", lambda: False)
+        with ParallelEngine(create_engine(graph, "python"), workers=2) as engine:
+            engine.start()
+            assert engine._pool is None
+
+    def test_start_forks_nothing_once_degraded(self, graph, pair):
+        source, target = pair
+        with ParallelEngine(
+            create_engine(graph, "python"), workers=2, chunk_size=16,
+            max_chunk_retries=0, on_worker_failure="serial",
+            fault_plan=FaultPlan(kill_rate=1.0),
+        ) as engine:
+            engine.sample_paths(target, graph.neighbor_set(source), 64, rng=3)
+            assert engine.degraded
+            engine.close()
+            engine.start()
+            assert engine._pool is None
+
+    def test_close_waits_for_a_dispatch_on_another_thread(self, graph, pair):
+        """close() must not terminate the pool under another thread's
+        dispatch; that dispatch finishes on its pool, with no crash."""
+        source, target = pair
+        stop = graph.neighbor_set(source)
+        expected = ParallelEngine(
+            create_engine(graph, "python"), workers=1, chunk_size=16
+        ).sample_paths(target, stop, 64, rng=3)
+        engine = ParallelEngine(
+            create_engine(graph, "python"), workers=2, chunk_size=16,
+            fault_plan=FaultPlan(slow_rate=1.0, slow_seconds=0.1),
+        )
+        engine.start()
+        drawn: dict = {}
+        thread = threading.Thread(
+            target=lambda: drawn.setdefault("paths", engine.sample_paths(target, stop, 64, rng=3))
+        )
+        thread.start()
+        while engine._lock.acquire(blocking=False):  # until the dispatch holds it
+            engine._lock.release()
+            assert thread.is_alive(), "the dispatch finished before close() was called"
+        engine.close()
+        thread.join(timeout=60.0)
+        assert drawn["paths"] == expected
+        assert engine.worker_crashes == 0
 
 
 class TestStaleSnapshotPoolRefork:

@@ -14,6 +14,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -262,6 +263,58 @@ class TestServeLifecycle:
         lines = [line for line in stderr.splitlines() if line.strip()]
         assert len(lines) == 1, stderr
         assert "already in use" in lines[0] and str(port) in lines[0]
+
+
+class TestServeListenWithWorkers:
+    """``serve --workers 2 --listen``: every tenant samples through the one
+    worker pool the server forks at start-up.  Two connections drive four
+    tenants for a dozen rounds concurrently; each round grows every key by
+    two pool chunks, so every answer is a real two-chunk worker dispatch.
+    A hang here fails on the timeouts instead of blocking the suite."""
+
+    ROUNDS = 12
+    TENANTS = ("acme", "globex", "initech", "umbrella")
+
+    def _drive(self, port: int, target: int, replies: list) -> None:
+        with socket.create_connection(("127.0.0.1", port), timeout=60) as conn:
+            stream = conn.makefile("rw")
+            for round_index in range(self.ROUNDS):
+                for tenant in self.TENANTS:
+                    stream.write(json.dumps(
+                        {"op": "evaluate", "source": 0, "target": target,
+                         "num_samples": 2048 * (round_index + 1), "tenant": tenant}
+                    ) + "\n")
+                stream.flush()
+                replies.extend(json.loads(stream.readline()) for _ in self.TENANTS)
+
+    def test_two_connections_four_tenants_then_sigint(self):
+        proc = _spawn_serve("--workers", "2", "--listen", "127.0.0.1:0",
+                            stdout=subprocess.DEVNULL)
+        try:
+            banner = proc.stderr.readline()
+            assert "listening on" in banner, banner
+            port = int(banner.split()[2].rsplit(":", 1)[1])
+            replies: dict = {50: [], 60: []}
+            clients = [
+                threading.Thread(target=self._drive, args=(port, target, answers))
+                for target, answers in replies.items()
+            ]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=240)
+            assert not any(client.is_alive() for client in clients), "serve hung"
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        for answers in replies.values():
+            assert len(answers) == self.ROUNDS * len(self.TENANTS)
+            assert all(answer["ok"] for answer in answers)
+        assert proc.returncode == 0, stderr
+        assert "Traceback" not in stderr
+        for tenant in self.TENANTS:
+            assert tenant in stderr  # the shutdown report names every tenant
 
 
 class TestServeFaultInjection:

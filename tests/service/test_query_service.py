@@ -28,6 +28,9 @@ from repro.exceptions import (
     ServiceOverloadedError,
     ServiceRejectedError,
 )
+from repro.faults import FaultPlan
+from repro.graph.generators import barabasi_albert_graph
+from repro.parallel.engine import ParallelEngine, fork_available
 from repro.pool.sample_pool import SamplePool
 from repro.service import (
     EvaluateQuery,
@@ -37,6 +40,7 @@ from repro.service import (
     canonical_result,
     run_standalone,
 )
+from repro.service.query_service import serving_engine
 
 POOL_SEED = 55
 
@@ -323,6 +327,67 @@ class TestPercentiles:
             metrics = service.metrics()
         assert metrics.latency_p50 is not None
         assert metrics.latency_p50 == metrics.latency_p90 == metrics.latency_p99
+
+
+@pytest.mark.skipif(not fork_available(), reason="platform lacks the fork start method")
+class TestEngineOwnership:
+    def test_close_tears_down_the_pool_of_a_built_engine(self, service_graph, hot_pair):
+        source, target = hot_pair
+        service = QueryService(service_graph, seed=POOL_SEED, workers=2)
+        engine = service.pool.engine
+        service.submit(EvaluateQuery(source, target, num_samples=2048))  # two pool chunks
+        assert len(engine._worker_pids()) == 2
+        service.close()
+        assert engine._worker_pids() == frozenset()
+
+    def test_close_leaves_a_passed_in_engine_to_its_owner(self, service_graph, hot_pair):
+        source, target = hot_pair
+        engine = ParallelEngine(create_engine(service_graph, "python"), workers=2)
+        try:
+            with QueryService(service_graph, engine=engine, seed=POOL_SEED) as service:
+                assert service.pool.engine is engine
+                service.submit(EvaluateQuery(source, target, num_samples=2048))
+                forked = engine._worker_pids()
+            assert len(forked) == 2 and engine._worker_pids() == forked
+        finally:
+            engine.close()
+
+
+class TestServingEngine:
+    """``serving_engine`` is the one place a service or server builds its engine."""
+
+    def test_name_builds_an_engine_on_the_graph(self, service_graph):
+        engine = serving_engine(service_graph, "python")
+        assert engine.name == "python"
+        assert engine.compiled is create_engine(service_graph, "python").compiled
+
+    def test_instance_needing_no_wrapper_comes_back_as_itself(self, service_graph):
+        engine = create_engine(service_graph, "python")
+        assert serving_engine(service_graph, engine) is engine
+
+    def test_workers_wrap_with_the_serial_crash_policy(self, service_graph):
+        plan = FaultPlan(3, slow_rate=0.5)
+        engine = serving_engine(service_graph, "python", workers=2, fault_plan=plan)
+        try:
+            assert isinstance(engine, ParallelEngine)
+            assert engine.workers == 2
+            assert engine.on_worker_failure == "serial"
+            assert engine._fault_plan is plan
+        finally:
+            engine.close()
+
+    def test_parallel_instance_keeps_its_own_policy(self, service_graph):
+        engine = ParallelEngine(create_engine(service_graph, "python"), workers=3)
+        try:
+            assert serving_engine(service_graph, engine, workers=2) is engine
+            assert engine.workers == 3 and engine.on_worker_failure == "retry"
+        finally:
+            engine.close()
+
+    def test_engine_of_another_graph_is_refused(self, service_graph):
+        other = barabasi_albert_graph(50, 2, rng=4)
+        with pytest.raises(EngineError):
+            serving_engine(service_graph, create_engine(other, "python"))
 
 
 class TestShutdownRace:

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 
 import pytest
 
+from repro.diffusion.engine import create_engine
 from repro.exceptions import ServiceClosedError, ServiceError
+from repro.parallel.engine import ParallelEngine, fork_available
 from repro.service.loadgen import query_to_wire, run_standalone
 from repro.service.query_service import EvaluateQuery, MaximizeQuery, PmaxQuery
 from repro.service.server import QueryServer, TokenBucket, serve_forever
@@ -525,6 +528,32 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             QueryServer(service_graph, max_tenants=0)
 
+    @pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+    def test_passed_in_engine_outlives_the_server(self, service_graph):
+        engine = ParallelEngine(create_engine(service_graph, "python"), workers=2)
+
+        async def main():
+            async with QueryServer(service_graph, engine=engine, seed=POOL_SEED) as server:
+                assert server.tenant_service("a").pool.engine is engine
+                return engine._worker_pids()  # forked by start()
+
+        try:
+            forked = run(main())
+            assert len(forked) == 2 and engine._worker_pids() == forked
+        finally:
+            engine.close()
+
+    @pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+    def test_failed_bind_closes_the_pool_start_forked(self, service_graph):
+        with socket.socket() as blocker:
+            blocker.bind(("127.0.0.1", 0))
+            blocker.listen(1)
+            port = blocker.getsockname()[1]
+            server = QueryServer(service_graph, seed=POOL_SEED, workers=2, port=port)
+            with pytest.raises(OSError):
+                run(server.start())
+        assert server.tenant_service().pool.engine._worker_pids() == frozenset()
+
     def test_serve_forever_announces_and_reports_on_cancel(self, service_graph):
         async def main():
             messages: list[str] = []
@@ -612,6 +641,51 @@ class TestDegradedMode:
         assert after["ok"] is True  # degraded is an alert, not an outage
         assert stats["result"]["server"]["degraded"] is True
         assert stats["result"]["tenants"]["default"]["degraded"] is True
+
+    def test_shared_engine_degradation_shows_on_every_tenant(self, service_graph, hot_pair):
+        """Tenants share one engine, so its downgrade is every tenant's --
+        including one created afterwards -- and the server's even before
+        any tenant exists."""
+        from repro.faults import FaultPlan
+
+        source, target = hot_pair
+
+        async def main():
+            async with QueryServer(service_graph, seed=POOL_SEED, workers=2) as server:
+                engine = server._engine  # noqa: SLF001 - no tenant exists yet
+                engine.inject_faults(FaultPlan(kill_rate=1.0))
+                stop = service_graph.neighbor_set(source)
+                await asyncio.to_thread(
+                    engine.sample_paths, target, stop, 2 * engine.chunk_size
+                )
+                engine.inject_faults(None)
+                untenanted = server.health()
+                assert server.tenant_service("a").pool.engine is engine
+                server.tenant_service("b")
+                _, stats = await _http(server, "GET", "/stats")
+                return untenanted, stats
+
+        untenanted, stats = run(main(), timeout=120.0)
+        assert untenanted["tenants"] == 0 and untenanted["degraded"] is True
+        assert stats["result"]["server"]["degraded"] is True
+        assert {name: row["degraded"] for name, row in stats["result"]["tenants"].items()} == {
+            "a": True, "b": True,
+        }
+
+    @pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+    def test_fault_plan_reaches_the_shared_engine(self, service_graph):
+        from repro.faults import FaultPlan
+
+        plan = FaultPlan(5, slow_rate=0.5)
+
+        async def main():
+            async with QueryServer(
+                service_graph, seed=POOL_SEED, workers=2, fault_plan=plan
+            ) as server:
+                return {server.tenant_service(name).pool.engine for name in ("a", "b")}
+
+        (engine,) = run(main())
+        assert engine._fault_plan is plan
 
     def test_fault_plan_threads_through_to_tenant_services(self, service_graph):
         from repro.faults import SITE_SPILL_IO, FaultPlan
