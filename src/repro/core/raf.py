@@ -37,8 +37,8 @@ from repro.diffusion.engine import (
     require_engine_name,
     resolve_engine,
 )
-from repro.estimation.stopping_rule import stopping_rule_estimate_batched
-from repro.exceptions import AlgorithmError, EstimationError
+from repro.estimation.stopping_rule import StoppingRuleExhausted, stopping_rule_estimate_batched
+from repro.exceptions import AlgorithmError
 from repro.graph.social_graph import SocialGraph
 from repro.parallel.engine import (
     ParallelEngine,
@@ -192,48 +192,26 @@ def estimate_pmax(
 
     With a ``pool`` (:class:`~repro.pool.SamplePool`), samples come from the
     pool's canonical per-key stream instead of the caller's ``rng``: the
-    cached prefix *warm-starts* the stopping rule (no re-draw for samples an
-    earlier query -- a screen, a previous estimate -- already paid for) and
-    only the missing tail is drawn fresh.  Warm and cold pools return
+    cached prefix *warm-starts* the stopping rule as one indicator batch (no
+    re-draw for samples an earlier query -- a screen, a previous estimate --
+    already paid for) and only the missing tail is drawn fresh.  In the
+    capped case the sample mean covers exactly ``max_samples`` samples,
+    however long the cache is.  Warm and cold pools return
     bit-identical estimates; the ``engine``/``workers``/``rng`` arguments
     are ignored in pool mode (the pool owns both engine and streams).
     """
     require_positive_int(max_samples, "max_samples")
     generator = ensure_rng(rng)
     source_friends = graph.neighbor_set(source)
-    observed = {"count": 0, "successes": 0}
 
     if pool is not None:
         resolve_engine(graph, pool.engine)  # fail loudly on a foreign-graph pool
         reader = pool.reader(target, source_friends, stream=STREAM_PMAX)
-
-        def warm_values():
-            # The cached prefix, yielded lazily in bounded segments: the
-            # stopping rule typically halts long before a large cache is
-            # exhausted, so nothing past the halting sample is copied or
-            # even read.  The rule consumes every yielded value (it only
-            # abandons the iterator when it halts or raises), so the
-            # reader's cursor stays aligned with the consumed stream and
-            # draw_batch continues exactly where the warm prefix ended.
-            # Indicators are read straight off the pool's columns -- no
-            # path objects are materialized for the warm prefix either.
-            while True:
-                segment = min(reader.cached_remaining(), 4096)
-                if segment <= 0:
-                    return
-                for value in reader.take_type1_bytes(segment):
-                    observed["count"] += 1
-                    observed["successes"] += value
-                    yield value
-
-        warm = warm_values()
-
-        def draw_batch(size: int) -> bytes:
-            values = reader.take_type1_bytes(size)
-            observed["count"] += len(values)
-            observed["successes"] += sum(values)
-            return values
-
+        # The whole cached prefix as one indicator batch, read straight off
+        # the pool's columns; the reader's cursor then sits at its end, so
+        # take_type1_bytes continues the same stream with fresh draws.
+        warm = reader.take_type1_bytes(reader.cached_remaining())
+        draw_batch = reader.take_type1_bytes
     else:
         warm = None
         resolved = maybe_parallel(resolve_engine(graph, engine), workers)
@@ -242,10 +220,7 @@ def estimate_pmax(
             # One 0/1 byte per realization: with a parallel engine the type
             # indicators are computed worker-side and only these bytes cross
             # the process boundary.
-            values = sample_type1_indicators(resolved, target, source_friends, size, rng=generator)
-            observed["count"] += len(values)
-            observed["successes"] += sum(values)
-            return values
+            return sample_type1_indicators(resolved, target, source_friends, size, rng=generator)
 
     try:
         result = stopping_rule_estimate_batched(
@@ -255,18 +230,18 @@ def estimate_pmax(
             max_samples=max_samples,
             warm_start=warm,
         )
-        return PmaxEstimate(value=result.estimate, num_samples=result.num_samples, method="stopping-rule")
-    except EstimationError:
-        if observed["successes"] == 0:
+    except StoppingRuleExhausted as exhausted:
+        if exhausted.total == 0:
             raise AlgorithmError(
-                f"no type-1 realization observed in {observed['count']} samples; "
+                f"no type-1 realization observed in {exhausted.num_samples} samples; "
                 "pmax for this (source, target) pair appears to be (near) zero"
             ) from None
         return PmaxEstimate(
-            value=observed["successes"] / observed["count"],
-            num_samples=observed["count"],
+            value=exhausted.total / exhausted.num_samples,
+            num_samples=exhausted.num_samples,
             method="sample-mean",
         )
+    return PmaxEstimate(value=result.estimate, num_samples=result.num_samples, method="stopping-rule")
 
 
 def run_sampling_framework(

@@ -26,13 +26,13 @@ __all__ = [
 def indicator_batch_sum(values) -> int | None:
     """Exact integer sum of a 0/1 indicator byte batch, else ``None``.
 
-    The engines' columnar reductions hand the estimators ``bytes`` of 0/1
-    type/coverage indicators; for those, integer summation is exact, so a
-    whole batch can be folded at once with a result identical to
-    per-element float folding.  Returns ``None`` for anything that is not
-    such a batch (non-bytes, or bytes with values outside {0, 1} -- the
-    caller's per-element path then owns validation), so both batched
-    estimators share one definition of the fast-path contract.
+    The engines' columnar reductions hand :func:`monte_carlo_mean_batched`
+    ``bytes`` of 0/1 type/coverage indicators; for those, integer summation
+    is exact, so a whole batch can be folded at once with a result
+    identical to per-element float folding.  Returns ``None`` for anything
+    that is not such a batch (non-bytes, or bytes with values outside
+    {0, 1}), which the caller then folds per element.  (The stopping rule
+    folds every batch with its own vectorized step and does not use this.)
     """
     if isinstance(values, (bytes, bytearray)) and (not values or max(values) <= 1):
         return sum(values)

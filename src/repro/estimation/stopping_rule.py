@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from repro.estimation.monte_carlo import indicator_batch_sum
+import numpy as np
+
 from repro.exceptions import EstimationError
 from repro.utils.validation import require, require_positive, require_positive_int
 
 __all__ = [
+    "StoppingRuleExhausted",
     "StoppingRuleResult",
     "stopping_rule_threshold",
     "stopping_rule_estimate",
@@ -61,6 +63,24 @@ class StoppingRuleResult:
     threshold: float
     epsilon: float
     delta: float
+
+
+class StoppingRuleExhausted(EstimationError):
+    """The rule hit its ``max_samples`` cap before the threshold.
+
+    ``num_samples`` is the number of samples consumed (the cap) and
+    ``total`` their sum, so a caller can fall back to the plain sample
+    mean ``total / num_samples`` without tallying the samples itself.
+    """
+
+    def __init__(self, num_samples: int, total: float, threshold: float) -> None:
+        super().__init__(
+            f"stopping rule did not terminate within {num_samples} samples "
+            f"(accumulated {total:.2f} of threshold {threshold:.2f}); the mean being "
+            "estimated is likely (near) zero"
+        )
+        self.num_samples = num_samples
+        self.total = total
 
 
 def stopping_rule_threshold(epsilon: float, delta: float) -> float:
@@ -107,14 +127,16 @@ def stopping_rule_estimate(
     max_samples:
         Optional hard cap.  The stopping rule needs ``Θ(Υ/μ)`` samples, so
         a vanishing mean makes it run arbitrarily long; a cap turns that
-        into an :class:`EstimationError` instead of a hang.  ``None`` means
-        no cap.
+        into a :class:`StoppingRuleExhausted` instead of a hang.  ``None``
+        means no cap.
 
     Raises
     ------
-    EstimationError
+    StoppingRuleExhausted
         If ``max_samples`` draws were consumed before the threshold was
-        reached, or if a sample falls outside ``[0, 1]``.
+        reached.
+    EstimationError
+        If a sample falls outside ``[0, 1]``.
     """
     threshold = stopping_rule_threshold(epsilon, delta)
     if max_samples is not None:
@@ -123,11 +145,7 @@ def stopping_rule_estimate(
     count = 0
     while total < threshold:
         if max_samples is not None and count >= max_samples:
-            raise EstimationError(
-                f"stopping rule did not terminate within {max_samples} samples "
-                f"(accumulated {total:.2f} of threshold {threshold:.2f}); the mean being "
-                "estimated is likely (near) zero"
-            )
+            raise StoppingRuleExhausted(count, total, threshold)
         value = float(sampler())
         if value < 0.0 or value > 1.0:
             raise EstimationError(f"stopping-rule samples must lie in [0, 1], got {value}")
@@ -142,15 +160,19 @@ def stopping_rule_estimate(
     )
 
 
+#: Geometric draw schedule of :func:`stopping_rule_estimate_batched`: the
+#: first batch size, its growth factor, and the largest batch.
+_INITIAL_BATCH = 64
+_BATCH_GROWTH = 2
+_MAX_BATCH = 65536
+
+
 def stopping_rule_estimate_batched(
-    batch_sampler: Callable[[int], Sequence[float]],
+    batch_sampler: Callable[[int], Sequence[float] | bytes],
     epsilon: float,
     delta: float,
     max_samples: int | None = None,
-    initial_batch: int = 64,
-    batch_growth: float = 2.0,
-    max_batch: int = 65536,
-    warm_start: Iterable[float] | None = None,
+    warm_start: Sequence[float] | bytes | None = None,
 ) -> StoppingRuleResult:
     """Run the stopping rule on a *batched* sampler.
 
@@ -160,91 +182,81 @@ def stopping_rule_estimate_batched(
     estimate and ``num_samples`` match the one-at-a-time rule.  Batching
     exists so engine-backed samplers (which amortize per-call overhead over
     whole batches of reverse-sampled realizations) can drive Alg. 2: batch
-    sizes grow geometrically from ``initial_batch`` up to ``max_batch``,
-    and are clipped so no more than ``max_samples`` draws are requested in
-    total.
+    sizes grow geometrically from 64 up to 65536, and are clipped so no
+    more than ``max_samples`` draws are requested in total.
+
+    Every batch is folded in one vectorized step: ``np.add.accumulate``
+    runs from the running total through the batch, which is the same
+    left-to-right float sum as per-sample folding, and the rule halts at
+    the first index whose running sum reaches the threshold.  Samples are
+    checked against ``[0, 1]`` only up to and including that index;
+    samples after the halt are never inspected.
 
     Parameters
     ----------
     batch_sampler:
-        Callable mapping a batch size ``k`` to ``k`` samples in ``[0, 1]``.
+        Callable mapping a batch size ``k`` to ``k`` samples in ``[0, 1]``:
+        a float sequence or ``bytes`` of 0/1 indicators.
     epsilon, delta, max_samples:
         As in :func:`stopping_rule_estimate`.
-    initial_batch, batch_growth, max_batch:
-        Geometric chunk schedule for the draws.
     warm_start:
-        Already-materialized leading samples of the *same* stream the
-        batched sampler continues (e.g. the cached prefix of a
-        :class:`~repro.pool.SamplePool` key).  They are consumed first --
-        lazily, one at a time, under exactly the per-sample semantics of
-        the main loop, so a generator is fine and nothing past the halting
-        sample is forced -- and a warm-started run returns the same result
+        One already-materialized batch of leading samples of the *same*
+        stream the batched sampler continues (e.g. the cached prefix of a
+        :class:`~repro.pool.SamplePool` key).  It is folded first, clipped
+        at ``max_samples``, and a warm-started run returns the same result
         as a cold run over the same stream: the rule stops at the same
         sample index either way; only the number of *fresh* draws differs.
-        ``batch_sampler`` must yield the samples *after* the warm prefix.
+        ``batch_sampler`` must yield the samples *after* the warm batch.
 
     Raises
     ------
-    EstimationError
+    StoppingRuleExhausted
         If ``max_samples`` draws were consumed before the threshold was
-        reached, or if a sample falls outside ``[0, 1]``.
+        reached.
+    EstimationError
+        If a sample falls outside ``[0, 1]``.
     """
     threshold = stopping_rule_threshold(epsilon, delta)
-    require_positive_int(initial_batch, "initial_batch")
-    require(batch_growth >= 1.0, "batch_growth must be at least 1")
-    require_positive_int(max_batch, "max_batch")
     if max_samples is not None:
         require_positive_int(max_samples, "max_samples")
     total = 0.0
     count = 0
 
-    def out_of_samples() -> EstimationError:
-        return EstimationError(
-            f"stopping rule did not terminate within {max_samples} samples "
-            f"(accumulated {total:.2f} of threshold {threshold:.2f}); the mean being "
-            "estimated is likely (near) zero"
-        )
-
     def consume(values) -> bool:
-        """Fold a run of samples into the running sum; True when done."""
+        """Fold one batch into the running sum; True when the rule halts."""
         nonlocal total, count
-        # Indicator batches (the engines' columnar 0/1 bytes): integer sums
-        # are exact, so folding the whole batch at once leaves the running
-        # total -- and therefore the halting index -- identical to
-        # per-element folding.  A batch that would cross the threshold
-        # falls through to the loop to stop at the exact sample (nothing
-        # was consumed yet in that case).
-        batch_sum = indicator_batch_sum(values)
-        if batch_sum is not None and total + batch_sum < threshold:
-            total += batch_sum
-            count += len(values)
+        if isinstance(values, (bytes, bytearray)):
+            values = np.frombuffer(values, dtype=np.uint8)
+        samples = np.asarray(values, dtype=np.float64)
+        if not samples.size:
             return False
-        for value in values:
-            value = float(value)
-            if value < 0.0 or value > 1.0:
-                raise EstimationError(f"stopping-rule samples must lie in [0, 1], got {value}")
-            total += value
-            count += 1
-            if total >= threshold:
-                return True
-        return False
+        sums = np.empty(samples.size + 1)
+        sums[0] = total
+        sums[1:] = samples
+        np.add.accumulate(sums, out=sums)
+        reached = sums[1:] >= threshold
+        halt = int(reached.argmax())
+        halted = bool(reached[halt])
+        used = halt + 1 if halted else samples.size
+        invalid = (samples[:used] < 0.0) | (samples[:used] > 1.0)
+        if invalid.any():
+            value = float(samples[int(invalid.argmax())])
+            raise EstimationError(f"stopping-rule samples must lie in [0, 1], got {value}")
+        total = float(sums[used])
+        count += used
+        return halted
 
     stopped = False
     if warm_start is not None:
-        for value in warm_start:
-            stopped = consume((value,))
-            if stopped:
-                break
-            if max_samples is not None and count >= max_samples:
-                raise out_of_samples()
+        stopped = consume(warm_start if max_samples is None else warm_start[:max_samples])
 
-    batch = initial_batch
+    batch = _INITIAL_BATCH
     while not stopped:
         if max_samples is not None and count >= max_samples:
-            raise out_of_samples()
+            raise StoppingRuleExhausted(count, total, threshold)
         size = batch if max_samples is None else min(batch, max_samples - count)
         stopped = consume(batch_sampler(size))
-        batch = min(int(batch * batch_growth), max_batch)
+        batch = min(batch * _BATCH_GROWTH, _MAX_BATCH)
     return StoppingRuleResult(
         estimate=threshold / count,
         num_samples=count,

@@ -74,6 +74,27 @@ class TestEstimatePmax:
         assert estimate.num_samples == 2000
         assert 0.0 < estimate.value <= 1.0
 
+    def test_capped_warm_pool_matches_cold_pool(self, medium_ba_graph, rng):
+        # The cache holds more than max_samples samples of the key, and they
+        # reach the rule as one warm batch: the sample mean must still cover
+        # exactly max_samples samples.
+        from repro.diffusion.engine import create_engine
+        from repro.pool import STREAM_PMAX, SamplePool
+
+        source, target = find_test_pair(medium_ba_graph, rng)
+        capped = {"epsilon": 0.01, "confidence_n": 1e6, "max_samples": 2000}
+        warm_pool = SamplePool(create_engine(medium_ba_graph, "python"), seed=17)
+        estimate_pmax(medium_ba_graph, source, target, **{**capped, "max_samples": 6000},
+                      pool=warm_pool)
+        stop_set = medium_ba_graph.neighbor_set(source)
+        assert warm_pool.reader(target, stop_set, stream=STREAM_PMAX).cached_remaining() > 2000
+        cold_pool = SamplePool(create_engine(medium_ba_graph, "python"), seed=17)
+        warm = estimate_pmax(medium_ba_graph, source, target, **capped, pool=warm_pool)
+        cold = estimate_pmax(medium_ba_graph, source, target, **capped, pool=cold_pool)
+        assert warm == cold
+        assert warm.method == "sample-mean"
+        assert warm.num_samples == 2000
+
     def test_sample_count_reported(self, chain_graph):
         estimate = estimate_pmax(chain_graph, "s", "t", epsilon=0.2, confidence_n=50.0, rng=5)
         assert estimate.num_samples > 0

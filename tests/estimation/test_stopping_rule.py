@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.estimation.stopping_rule import (
+    StoppingRuleExhausted,
     expected_sample_bound,
     stopping_rule_estimate,
     stopping_rule_estimate_batched,
@@ -140,16 +141,6 @@ class TestStoppingRuleBatched:
                 lambda size: [2.0] * size, epsilon=0.2, delta=0.1
             )
 
-    def test_invalid_batch_parameters(self):
-        with pytest.raises(ValueError):
-            stopping_rule_estimate_batched(
-                lambda size: [1.0] * size, epsilon=0.2, delta=0.1, initial_batch=0
-            )
-        with pytest.raises(ValueError):
-            stopping_rule_estimate_batched(
-                lambda size: [1.0] * size, epsilon=0.2, delta=0.1, batch_growth=0.5
-            )
-
 
 class TestWarmStart:
     """warm_start consumes a stream prefix without changing the outcome."""
@@ -174,6 +165,53 @@ class TestWarmStart:
             epsilon=0.2, delta=0.05, warm_start=warm,
         )
         assert result == cold
+
+    @pytest.mark.parametrize("warm_size", [0, 1, 37, 500, 5000])
+    def test_fractional_samples_fold_exactly(self, warm_size):
+        # Fractional floats expose summation order: the vectorized fold of
+        # warm and fresh batches must equal the one-at-a-time float sum.
+        def uniform_stream():
+            generator = random.Random(23)
+            while True:
+                yield generator.random() * 0.5
+
+        sequential_stream = uniform_stream()
+        sequential = stopping_rule_estimate(
+            lambda: next(sequential_stream), epsilon=0.1, delta=0.05
+        )
+        batched_stream = uniform_stream()
+        warm = [next(batched_stream) for _ in range(warm_size)]
+        batched = stopping_rule_estimate_batched(
+            lambda size: [next(batched_stream) for _ in range(size)],
+            epsilon=0.1, delta=0.05, warm_start=warm,
+        )
+        assert 500 < sequential.num_samples < 5000  # the halt is warm for 5000 only
+        assert batched.estimate == sequential.estimate
+        assert batched.num_samples == sequential.num_samples
+
+        # The capped run exposes the running sum itself, bit for bit.
+        sequential_stream = uniform_stream()
+        with pytest.raises(StoppingRuleExhausted) as sequential_cap:
+            stopping_rule_estimate(
+                lambda: next(sequential_stream), epsilon=0.1, delta=0.05, max_samples=1000
+            )
+        batched_stream = uniform_stream()
+        warm = [next(batched_stream) for _ in range(warm_size)]
+        with pytest.raises(StoppingRuleExhausted) as batched_cap:
+            stopping_rule_estimate_batched(
+                lambda size: [next(batched_stream) for _ in range(size)],
+                epsilon=0.1, delta=0.05, max_samples=1000, warm_start=warm,
+            )
+        assert batched_cap.value.num_samples == sequential_cap.value.num_samples == 1000
+        assert batched_cap.value.total == sequential_cap.value.total
+
+    def test_samples_after_halt_not_inspected(self):
+        sequential = stopping_rule_estimate(lambda: 1.0, epsilon=0.5, delta=0.2)
+        result = stopping_rule_estimate_batched(
+            lambda size: [1.0] * size, epsilon=0.5, delta=0.2,
+            warm_start=bytes([1]) * 100 + bytes([2]),
+        )
+        assert result == sequential
 
     def test_stops_inside_warm_prefix_without_fresh_draws(self):
         def must_not_draw(size):
@@ -241,8 +279,11 @@ class TestIndicatorByteBatches:
     def test_crossing_batch_halts_at_exact_sample(self):
         # All-ones stream with one huge batch: the rule must stop at the
         # same sample index as a one-at-a-time run, not swallow the batch.
+        def must_not_draw(size):
+            raise AssertionError("fresh draws requested despite a crossing batch")
+
         result = stopping_rule_estimate_batched(
-            lambda size: bytes([1]) * size, epsilon=0.5, delta=0.1, initial_batch=65536
+            must_not_draw, epsilon=0.5, delta=0.1, warm_start=bytes([1]) * 65536
         )
         sequential = stopping_rule_estimate(lambda: 1.0, epsilon=0.5, delta=0.1)
         assert result == sequential
@@ -268,7 +309,7 @@ class TestIndicatorByteBatches:
             return stream[start : start + size]
 
         warmed = stopping_rule_estimate_batched(
-            tail_sampler, epsilon=0.2, delta=0.05, warm_start=iter(warm)
+            tail_sampler, epsilon=0.2, delta=0.05, warm_start=warm
         )
         cold = stopping_rule_estimate_batched(cold_sampler, epsilon=0.2, delta=0.05)
         assert warmed == cold

@@ -170,11 +170,13 @@ class TestServeLifecycle:
         the BrokenPipeError must be caught, not crash the process."""
         requests = [json.dumps({"op": "evaluate", "source": 0, "target": 50,
                                 "num_samples": 100})]
-        # The remaining requests are distinct (never coalesced/cached), so
-        # the writes keep coming long after the reader has gone away.
+        # The remaining requests name distinct targets, so each one is a
+        # separate pool key (max_samples is not part of a key) that must be
+        # sampled cold: the writes keep coming long after the reader has
+        # gone away.
         requests += [
-            json.dumps({"op": "pmax", "source": 0, "target": 50, "epsilon": 0.3,
-                        "confidence_n": 100.0, "max_samples": 20_000 + n})
+            json.dumps({"op": "pmax", "source": 0, "target": 51 + n, "epsilon": 0.3,
+                        "confidence_n": 100.0, "max_samples": 20_000})
             for n in range(20)
         ]
         script = (
