@@ -34,7 +34,14 @@ Measures reverse-sampled paths/second on a synthetic benchmark graph for
   inside the timing for both arms.  The ``shm_transport_speedup`` field on
   ``transport-shm`` is its wire throughput relative to ``transport-pickle``
   (gated >= 1.3x absolute via ``--min-shm-speedup``, <= 30% drift via
-  ``--metric shm_transport_speedup``).
+  ``--metric shm_transport_speedup``);
+* ``long-path`` -- the alias engine's columnar kernel on walks far longer
+  than its cycle-check window: a 4000-node ring weighted one way only, so
+  every one of 1024 paths runs 2000 nodes to the far side's stop set.  Its
+  ``long_path_speedup`` field is the throughput relative to the per-walker
+  reference kernel timed in the same run (<= 30% drift via
+  ``--metric long_path_speedup``); bit-identity with that reference is
+  asserted first.
 
 Before timing anything, the benchmark asserts each columnar kernel (search
 mode and alias mode) is bit-identical to its retained per-walker reference
@@ -65,6 +72,7 @@ from pathlib import Path
 
 from repro.diffusion.engine import ENGINE_NAMES, create_engine
 from repro.graph.generators import barabasi_albert_graph
+from repro.graph.social_graph import SocialGraph
 from repro.graph.traversal import bfs_distances
 from repro.graph.weights import apply_degree_normalized_weights
 from repro.parallel import fork_available, shm_available
@@ -155,6 +163,35 @@ def _assert_alias_bit_identity(graph, target, stop_set, count=4000):
     assert batch.to_paths() == reference, (
         "alias-mode columnar kernel diverged from the alias-mode reference kernel"
     )
+
+
+def _benchmark_long_paths(num_nodes=4000, num_paths=1024):
+    """The ``long-path`` row: 2000-node walks on a one-way-weighted ring."""
+    ring = SocialGraph(name="bench-ring")
+    for node in range(num_nodes):
+        ring.add_edge(node, (node + 1) % num_nodes, 1.0, 0.0)  # node + 1 picks node
+    stop_set = ring.neighbor_set(num_nodes // 2)
+    engine = create_engine(ring, "numpy-alias")
+    batch = engine.sample_path_batch(0, stop_set, num_paths, rng=_SEED)
+    assert batch.to_paths() == engine.sample_paths_reference(0, stop_set, num_paths, rng=_SEED), (
+        "alias-mode columnar kernel diverged from the reference kernel on long paths"
+    )
+
+    def run_batch(count):
+        return engine.sample_path_batch(0, stop_set, count, rng=_SEED).type1_count()
+
+    def run_reference(count):
+        return sum(path.is_type1 for path in engine.sample_paths_reference(
+            0, stop_set, count, rng=_SEED))
+
+    rate, _ = _time_sampler("long-path", run_batch, num_paths)
+    reference_rate, _ = _time_sampler("long-path-reference", run_reference, num_paths)
+    return {
+        "paths_per_sec": round(rate, 1),
+        "num_paths": num_paths,
+        "nodes_per_path": round(batch.total_nodes / num_paths, 1),
+        "long_path_speedup": round(rate / reference_rate, 2),
+    }
 
 
 # The transport benchmark's worker state: one columnar chunk, sampled once in
@@ -298,6 +335,7 @@ def run_benchmark(num_paths: int = 30_000, num_nodes: int = 3000, transport_chun
     results["alias-batch"]["alias_speedup"] = round(
         results["alias-batch"]["paths_per_sec"] / results["numpy-batch"]["paths_per_sec"], 2
     )
+    results["long-path"] = _benchmark_long_paths()
     transport = _benchmark_transport(graph, target, stop_set, num_chunks=transport_chunks)
     if transport is not None:
         results.update(transport)

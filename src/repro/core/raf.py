@@ -230,18 +230,21 @@ def estimate_pmax(
             max_samples=max_samples,
             warm_start=warm,
         )
+        estimate = PmaxEstimate(result.estimate, result.num_samples, "stopping-rule")
     except StoppingRuleExhausted as exhausted:
         if exhausted.total == 0:
             raise AlgorithmError(
                 f"no type-1 realization observed in {exhausted.num_samples} samples; "
                 "pmax for this (source, target) pair appears to be (near) zero"
             ) from None
-        return PmaxEstimate(
-            value=exhausted.total / exhausted.num_samples,
-            num_samples=exhausted.num_samples,
-            method="sample-mean",
+        estimate = PmaxEstimate(
+            exhausted.total / exhausted.num_samples, exhausted.num_samples, "sample-mean"
         )
-    return PmaxEstimate(value=result.estimate, num_samples=result.num_samples, method="stopping-rule")
+    if pool is not None:
+        # The rule read whole batches (the cached prefix, the last draw) but
+        # consumed only num_samples: the rest stays unserved.
+        reader.rewind(estimate.num_samples)
+    return estimate
 
 
 def run_sampling_framework(

@@ -23,14 +23,13 @@ defines the one interface all of those go through:
   whole batch of walks in lockstep: uniform draws and friend selections for
   all active walks are computed with one `numpy` call per step (the friend
   selection uses a single ``searchsorted`` over a globally shifted
-  cumulative-weight array), cycle detection runs against an epoch-stamped
-  visited matrix, and finished walks are compacted out with boolean masks
-  -- zero per-walker Python bookkeeping.  The kernel emits a columnar
-  :class:`~repro.diffusion.path_batch.PathBatch` directly; its object
-  view is bit-identical, draw for draw, to the historical per-walker
-  lockstep kernel (retained, micro-optimized, as
-  :meth:`~NumpyEngine.sample_paths_reference` -- the fallback when the
-  visited matrix would not fit in memory, and the reference the columnar
+  cumulative-weight array), the cycle check compares against each
+  walker's own recent history, and finished walks are compacted out with
+  boolean masks -- zero per-walker Python bookkeeping.  The kernel emits
+  a columnar :class:`~repro.diffusion.path_batch.PathBatch` directly; its
+  object view is bit-identical, draw for draw, to the historical
+  per-walker lockstep kernel (retained as
+  :meth:`~NumpyEngine.sample_paths_reference`, the oracle the columnar
   kernel is asserted against).  The engine draws from a ``numpy``
   generator seeded from the caller's ``rng``, so it is deterministic per
   seed but follows its own stream.
@@ -125,6 +124,59 @@ class SamplingEngine(Protocol):
         batch's object view, in the same order.
         """
         ...
+
+
+#: Steps of each walker's recent path that the vectorized kernel's cycle
+#: check compares against directly; older history spills into a
+#: batch-local :class:`_SpilledHistory`.
+HISTORY_WINDOW = 64
+
+_FIBONACCI = _np.uint64(0x9E3779B97F4A7C15)
+
+
+class _SpilledHistory:
+    """A batch-local open-addressing set of non-negative int64 keys.
+
+    Multiplicative (Fibonacci) hashing into a power-of-two table where -1
+    marks a free cell, linear probing, and a rebuild whenever an insert
+    would pass half load.  Every operation is vectorized over an array.
+    """
+
+    __slots__ = ("table", "size")
+
+    def __init__(self) -> None:
+        self.table = _np.full(2, -1, dtype=_np.int64)
+        self.size = 0
+
+    def _home(self, keys):
+        shift = 65 - self.table.size.bit_length()  # 64 - log2(table size)
+        return ((keys.astype(_np.uint64) * _FIBONACCI) >> _np.uint64(shift)).astype(_np.int64)
+
+    def add(self, keys) -> None:
+        """Insert ``keys``, which must be distinct and not yet present."""
+        self.size += keys.size
+        if 2 * self.size > self.table.size:
+            present = self.table[self.table >= 0]
+            self.table = _np.full(1 << (2 * self.size - 1).bit_length(), -1, dtype=_np.int64)
+            keys = _np.concatenate([present, keys])
+        table, slots = self.table, self._home(keys)
+        while keys.size:
+            free = table[slots] < 0
+            table[slots[free]] = keys[free]  # colliding claims: one wins, the rest probe on
+            pending = table[slots] != keys
+            keys, slots = keys[pending], (slots[pending] + 1) & (table.size - 1)
+
+    def contains(self, keys):
+        """Boolean membership of each of ``keys``."""
+        table, slots = self.table, self._home(keys)
+        found = _np.zeros(keys.size, dtype=bool)
+        pending = _np.arange(keys.size)
+        while pending.size:
+            probe = table[slots]
+            found[pending[probe == keys]] = True
+            more = (probe != keys) & (probe >= 0)
+            pending, keys, slots = pending[more], keys[more], (slots[more] + 1) & (table.size - 1)
+        return found
 
 
 class _EngineBase:
@@ -276,23 +328,22 @@ class NumpyEngine(_EngineBase):
     walker at once.
 
     The columnar kernel (:meth:`sample_path_batch`) keeps *everything*
-    array-native: cycle detection runs against a persistent epoch-stamped
-    visited matrix (one ``uint8`` cell per (walker slot, node); a new epoch
-    per batch makes re-zeroing unnecessary), finished walks are compacted
-    out with boolean masks, and the surviving per-step frontiers are
-    scattered into a CSR-of-paths :class:`PathBatch` at the end -- no
-    per-walker Python bookkeeping at all.  It consumes the numpy stream
-    draw for draw like the historical per-walker kernel (one
-    ``Generator.random(live)`` per lockstep round, walkers in stable
-    order), so the produced paths are bit-identical to pre-columnar
-    releases; :meth:`sample_paths_reference` retains that historical
-    kernel as the reference path, and also serves as the fallback when the
-    visited matrix for a request would exceed
-    :data:`NumpyEngine.STAMP_CELL_LIMIT` cells.
+    array-native: the cycle check compares each live walker's choice with
+    a dense block of the live walkers' last :data:`HISTORY_WINDOW` nodes
+    (older history spills into a batch-local hash set), finished walks are
+    compacted out with boolean masks, and the surviving per-step frontiers
+    are scattered into a CSR-of-paths :class:`PathBatch` at the end.  Its
+    memory is bounded by the request (paths and their lengths), never by
+    the graph size.  It consumes the numpy stream draw for draw like the
+    historical per-walker kernel (one ``Generator.random(live)`` per
+    lockstep round, walkers in stable order), so the produced paths are
+    bit-identical to pre-columnar releases; :meth:`sample_paths_reference`
+    retains that historical kernel as the oracle.
 
     One instance may be sampled from several threads: a batch (and a
-    re-snapshot) holds the engine's lock, so concurrent calls serialize and
-    each returns exactly the paths it would return alone.
+    re-snapshot, which rebinds the derived arrays a batch reads) holds the
+    engine's lock, so concurrent calls serialize and each returns exactly
+    the paths it would return alone.
     """
 
     __slots__ = (
@@ -305,8 +356,6 @@ class NumpyEngine(_EngineBase):
         "_degrees",
         "_alias_prob",
         "_alias_index",
-        "_stamps",
-        "_stamp_epoch",
         "_lock",
     )
     name = "numpy"
@@ -317,21 +366,6 @@ class NumpyEngine(_EngineBase):
     #: never a per-call switch -- downstream stream tags (pool spills,
     #: matrix fingerprints) key on the engine name.
     mode = "search"
-
-    #: Upper bound on visited-matrix cells (walker slots × nodes) for the
-    #: columnar kernel; one cell is one uint8, so the default caps the
-    #: matrix at 256 MiB.  Larger requests fall back to the per-walker
-    #: reference kernel (identical draws, identical paths).
-    STAMP_CELL_LIMIT = 1 << 28
-
-    #: Visited matrices up to this many cells (128 MiB of uint8) stay
-    #: resident on the engine between batches -- the epoch-stamp trick then
-    #: skips both re-zeroing and re-faulting their pages, which is most of
-    #: the win for repeated large batches.  Anything larger is dropped
-    #: after its batch, so one oversized request never pins hundreds of
-    #: MiB on a long-lived engine (or on every forked worker of a
-    #: ParallelEngine, whose per-chunk batches are far below this cap).
-    STAMP_RETAIN_CELLS = 1 << 27
 
     def __init__(self, graph: SocialGraph | CompiledGraph) -> None:
         super().__init__(graph)
@@ -364,9 +398,6 @@ class NumpyEngine(_EngineBase):
         # Alias columns are built on first alias-mode selection (per snapshot).
         self._alias_prob = None
         self._alias_index = None
-        # The visited matrix is per-topology (its width is the node count).
-        self._stamps = None
-        self._stamp_epoch = 0
 
     # ------------------------------------------------------------------ #
     # Shared batch setup
@@ -384,26 +415,6 @@ class NumpyEngine(_EngineBase):
         if stop_indices:
             stop_mask[np.fromiter(stop_indices, dtype=np.int64, count=len(stop_indices))] = True
         return stop_mask
-
-    def _visited_stamps(self, count: int, num_nodes: int):
-        """The epoch-stamped visited matrix, grown/recycled as needed.
-
-        A cell equals the current epoch iff that walker slot visited that
-        node *in this batch*; bumping the epoch invalidates every stamp at
-        once, so the matrix is zeroed only when the uint8 epoch wraps
-        (every 255 batches) instead of on every call.
-        """
-        np = self._np
-        stamps = self._stamps
-        if stamps is None or stamps.shape[0] < count or stamps.shape[1] != num_nodes:
-            rows = max(count, stamps.shape[0] if stamps is not None else 0)
-            stamps = self._stamps = np.zeros((rows, num_nodes), dtype=np.uint8)
-            self._stamp_epoch = 0
-        if self._stamp_epoch >= 255:
-            stamps.fill(0)
-            self._stamp_epoch = 0
-        self._stamp_epoch += 1
-        return stamps, np.uint8(self._stamp_epoch)
 
     def _select_parents(self, current, draws):
         """One lockstep round of friend selections: ``(alive, chosen)``.
@@ -479,37 +490,37 @@ class NumpyEngine(_EngineBase):
                     compiled,
                 )
             stop_mask = self._stop_mask(compiled, stop_set)
-            if count * len(compiled) > self.STAMP_CELL_LIMIT:
-                # The visited matrix would not fit: fall back to the per-walker
-                # reference kernel (same draws, same paths) and columnarize.
-                paths = self._reference_kernel(compiled, start, stop_mask, count, nprng)
-                return PathBatch.from_paths(paths, compiled)
-            try:
-                return self._columnar_kernel(compiled, start, stop_mask, count, nprng)
-            finally:
-                stamps = self._stamps
-                if stamps is not None and stamps.size > self.STAMP_RETAIN_CELLS:
-                    self._stamps = None  # oversized: rebuilt (zeroed) on demand
-                    self._stamp_epoch = 0
+            return self._columnar_kernel(compiled, start, stop_mask, count, nprng)
 
     def _columnar_kernel(self, compiled, start, stop_mask, count, nprng) -> PathBatch:
         np = self._np
-        stamps, epoch = self._visited_stamps(count, len(compiled))
-
+        num_nodes = len(compiled)
+        # Lockstep walkers have all taken the same number of steps, so their
+        # recent paths form one dense (width x live) block, its rows doubling
+        # up to HISTORY_WINDOW as walks lengthen: one comparison per round is
+        # the whole cycle check.  A full block spills into a hash set of
+        # slot*n + node keys and restarts, keeping long walks O(1) per step.
+        window_size = HISTORY_WINDOW
+        window = np.empty((min(8, window_size), count), dtype=np.int64)  # column k: live walker k
+        window[0] = start
+        width = 1
+        spilled = None
         rows = np.arange(count, dtype=np.int64)  # walker slot = output position
         current = np.full(count, start, dtype=np.int64)
-        stamps[rows, start] = epoch
         is_type1 = np.zeros(count, dtype=bool)
         anchors = np.full(count, -1, dtype=np.int64)
         step_rows: list = []  # per lockstep round: the walkers that continued
         step_nodes: list = []  # ... and the node each of them moved to
         while rows.size:
-            draws = nprng.random(rows.size)
+            live = rows.size
+            draws = nprng.random(live)
             alive, chosen = self._select_parents(current, draws)
             # Precedence exactly as the per-walker kernels: a draw in the
             # stop-probability tail or a revisited node ends the walk as
             # type-0 *before* the stop set is consulted.
-            revisit = stamps[rows, chosen] == epoch
+            revisit = (window[:width, :live] == chosen).any(axis=0)
+            if spilled is not None:
+                revisit |= spilled.contains(rows * num_nodes + chosen)
             hit_stop = stop_mask[chosen]
             stopped = alive & ~revisit & hit_stop
             cont = alive & ~revisit & ~hit_stop
@@ -518,7 +529,18 @@ class NumpyEngine(_EngineBase):
             anchors[finished] = chosen[stopped]
             rows = rows[cont]
             current = chosen[cont]
-            stamps[rows, current] = epoch
+            if width == window_size:
+                spilled = spilled or _SpilledHistory()
+                spilled.add((rows * num_nodes + window[:, :live][:, cont]).ravel())
+                width = 0
+            elif width == len(window):
+                grown = np.empty((min(2 * width, window_size), rows.size), dtype=np.int64)
+                grown[:width] = window[:width, :live][:, cont]
+                window = grown
+            elif rows.size < live:
+                window[:width, : rows.size] = window[:width, :live][:, cont]
+            window[width, : rows.size] = current
+            width += 1
             step_rows.append(rows)
             step_nodes.append(current)
 
@@ -551,9 +573,8 @@ class NumpyEngine(_EngineBase):
         """The pre-columnar lockstep kernel (per-walker set bookkeeping).
 
         Consumes the numpy stream identically to :meth:`sample_path_batch`
-        and returns the identical paths; kept as the memory-frugal
-        fallback for huge (batch × graph) requests and as the reference
-        the columnar kernel is asserted against (benchmarks and the
+        and returns the identical paths; kept only as the reference the
+        columnar kernel is asserted against (benchmarks and the
         equivalence test suites).
         """
         require_non_negative_int(count, "count")
@@ -617,7 +638,7 @@ class NumpyAliasEngine(NumpyEngine):
     """Vectorized engine with O(1) alias-table walk steps (``"numpy-alias"``).
 
     Identical to :class:`NumpyEngine` -- same columnar kernel, same
-    epoch-stamped cycle detection, same CSR assembly, same per-round
+    windowed cycle check, same CSR assembly, same per-round
     ``Generator.random(live)`` consumption -- except that each friend
     selection walks the snapshot's precomputed Vose alias tables
     (:meth:`repro.graph.compiled.CompiledGraph.alias_tables`) instead of

@@ -137,29 +137,6 @@ class PathBatch:
         )
 
     @classmethod
-    def from_paths(cls, paths: Sequence[TargetPath], graph: "CompiledGraph") -> "PathBatch":
-        """Columnarize already-materialized :class:`TargetPath` objects.
-
-        Used by the vectorized engine's per-walker fallback kernel, which
-        builds path objects; every other producer writes columns directly.
-        """
-        index = graph.index_of
-        offsets = [0]
-        node_indices: list[int] = []
-        anchor_indices: list[int] = []
-        for path in paths:
-            node_indices.extend(index(node) for node in path.nodes)
-            offsets.append(len(node_indices))
-            anchor_indices.append(index(path.anchor) if path.is_type1 else -1)
-        return cls(
-            _np.asarray(offsets, dtype=_np.int64),
-            _np.asarray(node_indices, dtype=_np.int64),
-            _np.fromiter((path.is_type1 for path in paths), dtype=bool, count=len(paths)),
-            _np.asarray(anchor_indices, dtype=_np.int64),
-            graph,
-        )
-
-    @classmethod
     def concat(cls, batches: Sequence["PathBatch"], graph=None) -> "PathBatch":
         """Concatenate batches in order into one batch."""
         if not batches:

@@ -95,6 +95,7 @@ from repro.parallel.engine import ParallelEngine
 from repro.types import NodeId, ordered
 from repro.utils.rng import derive_seed
 from repro.utils.validation import (
+    require,
     require_non_negative_int,
     require_positive_int,
 )
@@ -1076,6 +1077,12 @@ class PoolReader:
     def offset(self) -> int:
         """How many samples this reader has consumed."""
         return self._offset
+
+    def rewind(self, offset: int) -> None:
+        """Move the cursor back to ``offset``: samples read past it count as unserved."""
+        require(0 <= offset <= self._offset, "rewind offset must lie in [0, offset]")
+        self._pool._served -= self._offset - offset
+        self._offset = offset
 
     def cached_remaining(self) -> int:
         """How many already-materialized *pool* samples lie ahead of the cursor

@@ -95,6 +95,26 @@ class TestEstimatePmax:
         assert warm.method == "sample-mean"
         assert warm.num_samples == 2000
 
+    @pytest.mark.parametrize("call", ["cold", "warm", "capped"])
+    def test_pool_serves_exactly_the_consumed_samples(self, medium_ba_graph, rng, call):
+        # The rule reads whole batches (the cached prefix, a geometric
+        # draw) and halts inside them: the pool's served tally must count
+        # only the samples the estimate consumed.
+        from repro.diffusion.engine import create_engine
+        from repro.pool import SamplePool
+
+        source, target = find_test_pair(medium_ba_graph, rng)
+        pool = SamplePool(create_engine(medium_ba_graph, "numpy-alias"), seed=3)
+        if call != "cold":
+            estimate_pmax(medium_ba_graph, source, target, epsilon=0.2, pool=pool)
+        before = pool.served_paths
+        estimate = estimate_pmax(
+            medium_ba_graph, source, target, epsilon=0.2,
+            max_samples=1000 if call == "capped" else 500_000, pool=pool,
+        )
+        assert estimate.method == ("sample-mean" if call == "capped" else "stopping-rule")
+        assert pool.served_paths - before == estimate.num_samples
+
     def test_sample_count_reported(self, chain_graph):
         estimate = estimate_pmax(chain_graph, "s", "t", epsilon=0.2, confidence_n=50.0, rng=5)
         assert estimate.num_samples > 0

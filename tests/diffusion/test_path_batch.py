@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.diffusion.engine as engine_module
 from repro.diffusion.engine import ENGINE_NAMES, PythonEngine, create_engine
 from repro.diffusion.path_batch import PathBatch, PathStore, TargetPath
 from repro.graph.compiled import compile_graph
@@ -38,6 +40,7 @@ SETTINGS = settings(
 )
 
 ENGINES = [name for name in ENGINE_NAMES if name != "auto"]
+NUMPY_ENGINES = ["numpy", "numpy-alias"]
 
 
 @pytest.fixture(scope="module")
@@ -51,15 +54,15 @@ def setting(graph):
 
 
 class TestRoundTrip:
-    """Batch views must reproduce the objects they were built from exactly."""
+    """Batch views must reproduce the engine's object view of the same draws exactly."""
 
     @given(seed=st.integers(min_value=0, max_value=2**31), count=st.integers(0, 300))
     @SETTINGS
-    def test_from_paths_round_trips(self, graph, seed, count):
+    def test_batch_round_trips(self, graph, seed, count):
         engine = PythonEngine(graph)
         stop = graph.neighbor_set(0)
         paths = engine.sample_paths(200, stop, count, rng=seed)
-        batch = PathBatch.from_paths(paths, engine.compiled)
+        batch = engine.sample_path_batch(200, stop, count, rng=seed)
         assert len(batch) == count
         assert batch.to_paths() == paths
         assert list(batch) == paths
@@ -76,7 +79,7 @@ class TestRoundTrip:
         engine = PythonEngine(graph)
         stop = graph.neighbor_set(0)
         paths = engine.sample_paths(200, stop, 300, rng=seed)
-        batch = PathBatch.from_paths(paths, engine.compiled)
+        batch = engine.sample_path_batch(200, stop, 300, rng=seed)
         hi = lo + width
         assert batch.paths_slice(lo, hi) == paths[lo:hi]
         assert batch.type1_bytes(lo, hi) == bytes(1 if p.is_type1 else 0 for p in paths[lo:hi])
@@ -95,7 +98,7 @@ class TestRoundTrip:
             node for i, node in enumerate(nodes) if (invite_bits >> (i % 20)) & 1 or i % 7 == 0
         )
         paths = engine.sample_paths(200, stop, 200, rng=seed)
-        batch = PathBatch.from_paths(paths, engine.compiled)
+        batch = engine.sample_path_batch(200, stop, 200, rng=seed)
         assert batch.covered_bytes(invited) == bytes(
             1 if p.covered_by(invited) else 0 for p in paths
         )
@@ -104,7 +107,7 @@ class TestRoundTrip:
         graph, target, stop = setting
         engine = PythonEngine(graph)
         paths = engine.sample_paths(target, stop, 400, rng=5)
-        batch = PathBatch.from_paths(paths, engine.compiled)
+        batch = engine.sample_path_batch(target, stop, 400, rng=5)
         selected = batch.select_type1()
         expected = [p for p in paths if p.is_type1]
         assert selected.to_paths() == expected
@@ -245,21 +248,57 @@ class TestColumnarKernelEquivalence:
         assert batch.to_paths() == engine.sample_paths_reference("x", {"y"}, 4, rng=1)
         assert batch.to_paths() == [TargetPath(nodes=frozenset({"x"}), is_type1=False)] * 4
 
-    def test_memory_fallback_is_bit_identical(self, setting):
+    @pytest.mark.parametrize("window", [1, 2])
+    @pytest.mark.parametrize("name", NUMPY_ENGINES)
+    def test_forced_tiny_window_is_bit_identical(self, setting, monkeypatch, name, window):
+        # A window of one or two steps spills almost every round, so the
+        # cycle check runs through the spilled hash set nearly throughout.
         graph, target, stop = setting
-        engine = create_engine(graph, "numpy")
-        want = engine.sample_path_batch(target, stop, 600, rng=9).to_paths()
-        original = type(engine).STAMP_CELL_LIMIT
+        engine = create_engine(graph, name)
+        monkeypatch.setattr(engine_module, "HISTORY_WINDOW", window)
+        want = engine.sample_paths_reference(target, stop, 600, rng=9)
+        assert engine.sample_path_batch(target, stop, 600, rng=9).to_paths() == want
+        assert engine.sample_paths(target, stop, 600, rng=9) == want
+
+    @pytest.mark.parametrize("with_stop", [False, True])
+    @pytest.mark.parametrize("name", NUMPY_ENGINES)
+    def test_walks_longer_than_the_window(self, name, with_stop):
+        # A 300-node ring weighted one way only: every walk from node 0
+        # traces 0, 299, ..., 152 and then reaches node 151 in N(150), or
+        # goes all the way round and back to the target, where only the
+        # spilled history can see the cycle.
+        ring = SocialGraph()
+        for node in range(300):
+            ring.add_edge(node, (node + 1) % 300, 1.0, 0.0)
+        stop = ring.neighbor_set(150) if with_stop else frozenset()
+        engine = create_engine(ring, name)
+        batch = engine.sample_path_batch(0, stop, 50, rng=4)
+        assert batch.to_paths() == engine.sample_paths_reference(0, stop, 50, rng=4)
+        assert (batch.is_type1 == with_stop).all()
+        assert batch.total_nodes == 50 * (149 if with_stop else 300)
+
+    @pytest.mark.parametrize("name", NUMPY_ENGINES)
+    def test_memory_is_bounded_by_the_request(self, name):
+        # The cycle check's state scales with the batch, not the graph: a
+        # 4096-path batch on a 50k-node ring stays far below the 195 MiB a
+        # (paths x nodes) visited matrix would take.
+        ring = SocialGraph()
+        for node in range(50_000):
+            ring.add_edge(node, (node + 1) % 50_000, 0.5, 0.5)
+        engine = create_engine(ring, name)
+        engine.sample_path_batch(0, frozenset(), 8, rng=1)  # build the derived columns
+        tracemalloc.start()
         try:
-            type(engine).STAMP_CELL_LIMIT = 1  # force the reference fallback
-            assert engine.sample_path_batch(target, stop, 600, rng=9).to_paths() == want
-            assert engine.sample_paths(target, stop, 600, rng=9) == want
+            engine.sample_path_batch(0, {25_000}, 4096, rng=2)
+            _, peak = tracemalloc.get_traced_memory()
         finally:
-            type(engine).STAMP_CELL_LIMIT = original
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_epoch_recycling_stays_consistent(self, setting):
-        # 300 consecutive batches wrap the uint8 epoch counter at least
-        # once; every batch must keep matching the reference kernel.
+        # 300 consecutive batches on one engine: no cycle-check state may
+        # leak from one batch into the next, so every batch must keep
+        # matching the reference kernel.
         graph, target, stop = setting
         engine = create_engine(graph, "numpy")
         for seed in range(300):
