@@ -17,12 +17,20 @@ Run standalone with::
 over the ``workers=1`` run must reach the given factor (the CI ``bench``
 job requires 2.0 at 4 workers).  Results are written to
 ``BENCH_parallel.json`` at the repository root.
+
+The ``repeated_runs`` arm times 10 consecutive one-shot ``run_raf`` calls
+at the largest worker count beside ``workers=1``, per call, including any
+pool startup.  The calls share the process's one cached worker pool
+(:func:`repro.parallel.engine.shared_engine`), so it asserts that they
+used no more distinct worker pids than the worker count, and that their
+answers equal the ``workers=1`` answers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -30,14 +38,18 @@ from pathlib import Path
 
 from bench_engine_throughput import _benchmark_graph
 
-from repro.core.raf import estimate_pmax
+from repro.core.problem import ActiveFriendingProblem
+from repro.core.raf import RAFConfig, estimate_pmax, run_raf
 from repro.diffusion.engine import create_engine
-from repro.parallel.engine import DEFAULT_CHUNK_SIZE, ParallelEngine
+from repro.parallel.engine import DEFAULT_CHUNK_SIZE, ParallelEngine, close_shared_engine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_parallel.json"
 
 _SEED = 20190707
+
+#: Consecutive one-shot run_raf calls in the repeated_runs arm.
+_REPEATED_RUNS = 10
 
 
 def _time_pmax(graph, source, target, engine, epsilon, repeats=3):
@@ -64,6 +76,29 @@ def _time_pmax(graph, source, target, engine, epsilon, repeats=3):
         best = min(best, elapsed)
         estimate = (result.value, result.num_samples, result.method)
     return best, estimate
+
+
+def _repeated_runs(graph, source, target, workers):
+    """Time ``_REPEATED_RUNS`` consecutive ``run_raf`` calls at ``workers``.
+
+    Returns (per-call seconds, answers, distinct worker pids seen).  Each
+    call starts from whatever the previous one left behind, as one-shot
+    callers do; the first call forks the pool.
+    """
+    close_shared_engine()
+    earlier = {process.pid for process in multiprocessing.active_children()}
+    config = RAFConfig(engine="python", workers=workers, sample_policy="fixed",
+                       fixed_realizations=4 * DEFAULT_CHUNK_SIZE, pmax_epsilon=0.1)
+    problem = ActiveFriendingProblem(graph, source, target, alpha=0.2)
+    seconds, answers, pids = [], [], set()
+    for index in range(_REPEATED_RUNS):
+        start = time.perf_counter()
+        result = run_raf(problem, config, rng=_SEED + index)
+        seconds.append(time.perf_counter() - start)
+        answers.append((sorted(result.invitation), result.pmax_samples))
+        pids |= {process.pid for process in multiprocessing.active_children()} - earlier
+    close_shared_engine()
+    return seconds, answers, pids
 
 
 def run_benchmark(worker_counts=(1, 4), epsilon=0.02, num_nodes=3000):
@@ -93,6 +128,24 @@ def run_benchmark(worker_counts=(1, 4), epsilon=0.02, num_nodes=3000):
             "pmax_estimate": round(estimate[0], 6),
             "speedup_vs_1_worker": round(baseline_seconds / seconds, 2),
         }
+
+    workers = max(worker_counts)
+    serial_seconds, serial_answers, _ = _repeated_runs(graph, source, target, 1)
+    fanned_seconds, fanned_answers, pids = _repeated_runs(graph, source, target, workers)
+    assert fanned_answers == serial_answers, (
+        f"repeated run_raf at workers={workers} diverged from workers=1"
+    )
+    assert len(pids) <= workers, (
+        f"{_REPEATED_RUNS} run_raf calls at workers={workers} used {len(pids)} worker "
+        "processes: the calls did not share one pool"
+    )
+    repeated = {
+        "runs": _REPEATED_RUNS,
+        "workers": workers,
+        "seconds_per_call_1_worker": [round(value, 4) for value in serial_seconds],
+        f"seconds_per_call_{workers}_workers": [round(value, 4) for value in fanned_seconds],
+        "distinct_worker_pids": len(pids),
+    }
     return {
         "benchmark": "parallel_stopping_rule_speedup",
         "graph": {"nodes": graph.num_nodes, "edges": graph.num_edges, "model": "barabasi-albert"},
@@ -100,6 +153,7 @@ def run_benchmark(worker_counts=(1, 4), epsilon=0.02, num_nodes=3000):
         "epsilon": epsilon,
         "cpu_count": os.cpu_count(),
         "results": rows,
+        "repeated_runs": repeated,
     }
 
 

@@ -19,7 +19,7 @@ from repro.core.result import InvitationResult
 from repro.diffusion.engine import SamplingEngine, resolve_engine
 from repro.exceptions import AlgorithmError, ProblemDefinitionError
 from repro.graph.social_graph import SocialGraph
-from repro.parallel.engine import collect_type1, maybe_parallel
+from repro.parallel.engine import collect_type1, shared_engine
 from repro.pool.sample_pool import STREAM_REALIZATIONS, SamplePool
 from repro.setcover.budgeted import budgeted_trace_cover
 from repro.setcover.hypergraph import SetSystem
@@ -135,7 +135,7 @@ def maximize_acceptance_probability(
         )
         num_type1 = len(paths)
     else:
-        resolved = maybe_parallel(resolve_engine(graph, engine), workers)
+        resolved = shared_engine(graph, engine, workers)
         paths, num_type1 = collect_type1(
             resolved, target, source_friends, num_realizations, rng=generator
         )

@@ -31,21 +31,15 @@ from repro.core.parameters import (
 )
 from repro.core.problem import ActiveFriendingProblem
 from repro.core.result import RAFResult
-from repro.diffusion.engine import (
-    SamplingEngine,
-    create_engine,
-    require_engine_name,
-    resolve_engine,
-)
+from repro.diffusion.engine import SamplingEngine, require_engine_name, resolve_engine
 from repro.estimation.stopping_rule import StoppingRuleExhausted, stopping_rule_estimate_batched
 from repro.exceptions import AlgorithmError
 from repro.graph.social_graph import SocialGraph
 from repro.parallel.engine import (
-    ParallelEngine,
     collect_type1,
-    maybe_parallel,
     resolve_worker_count,
     sample_type1_indicators,
+    shared_engine,
 )
 from repro.pool.sample_pool import STREAM_PMAX, STREAM_REALIZATIONS, SamplePool
 from repro.setcover.hypergraph import SetSystem
@@ -104,6 +98,12 @@ class RAFConfig:
         keeps the historical single-stream path.  Any explicit count --
         including 1 -- selects the chunked deterministic fan-out, whose
         results are identical for every worker count under a fixed seed.
+        The worker pool is the process's shared one
+        (:func:`~repro.parallel.engine.shared_engine`): it is forked by the
+        first run, reused by later runs on the same snapshot with the same
+        engine and count, closed when a run needs another key, and torn
+        down at exit.  A forked child never uses its parent's pool; it
+        forks its own.
     pool:
         When true, the run draws every reverse sample through a shared
         :class:`~repro.pool.SamplePool` (seeded from the run's base
@@ -181,7 +181,7 @@ def estimate_pmax(
     geometrically growing batches (the rule still stops at exactly the same
     sample as a one-at-a-time run over the same stream).  ``workers``
     optionally fans the batches out over a worker pool
-    (:func:`repro.parallel.engine.maybe_parallel`); the merged stream -- and
+    (:func:`repro.parallel.engine.shared_engine`); the merged stream -- and
     so the estimate and the consumed sample count -- is identical for every
     worker count under a fixed seed.  If the rule does not terminate within
     ``max_samples`` (which happens when ``pmax`` is very small), the plain
@@ -214,7 +214,7 @@ def estimate_pmax(
         draw_batch = reader.take_type1_bytes
     else:
         warm = None
-        resolved = maybe_parallel(resolve_engine(graph, engine), workers)
+        resolved = shared_engine(graph, engine, workers)
 
         def draw_batch(size: int) -> bytes:
             # One 0/1 byte per realization: with a parallel engine the type
@@ -295,7 +295,7 @@ def run_sampling_framework(
         )
         num_type1 = len(paths)
     else:
-        resolved = maybe_parallel(resolve_engine(problem.compiled, engine), workers)
+        resolved = shared_engine(problem.compiled, engine, workers)
         paths, num_type1 = collect_type1(
             resolved, problem.target, source_friends, num_realizations, rng=generator
         )
@@ -377,13 +377,14 @@ def run_raf(
     stopwatch = Stopwatch().start()
 
     # One engine over one compiled snapshot drives every randomized step;
-    # with config.workers set, one shared worker pool drains all of them.
-    # A service supplies (and keeps owning) both the engine and the pool.
+    # with config.workers set, the process's shared worker pool drains all
+    # of them and stays warm for the next run on this snapshot.  A service
+    # supplies (and keeps owning) both the engine and the pool.
     if service is not None:
         pool = service.pool
         engine = pool.engine
     else:
-        engine = maybe_parallel(create_engine(problem.compiled, config.engine), config.workers)
+        engine = shared_engine(problem.compiled, config.engine, config.workers)
         if pool is None and config.pool:
             pool = SamplePool(
                 engine, seed=derive_seed(base_rng, "raf-pool"), budget=config.pool_budget
@@ -397,59 +398,48 @@ def run_raf(
         coupling=config.coupling,
     )
 
-    try:
-        # Step 2: estimate pmax (Alg. 2).  Submitted through the service
-        # when one is given, so identical concurrent runs coalesce.
-        pmax_epsilon = (
-            config.pmax_epsilon if config.pmax_epsilon is not None else parameters.epsilon_zero
-        )
-        if service is not None:
-            pmax = service.estimate_pmax(
-                problem.source,
-                problem.target,
-                epsilon=pmax_epsilon,
-                confidence_n=config.confidence_n,
-                max_samples=config.pmax_max_samples,
-            )
-        else:
-            pmax = estimate_pmax(
-                problem.graph,
-                problem.source,
-                problem.target,
-                epsilon=pmax_epsilon,
-                confidence_n=config.confidence_n,
-                max_samples=config.pmax_max_samples,
-                rng=pmax_rng,
-                engine=engine,
-                pool=pool,
-            )
-
-        # Step 3: choose the realization count l.
-        num_realizations = realization_count(
-            parameters,
-            pmax_estimate=pmax.value,
+    # Step 2: estimate pmax (Alg. 2).  Submitted through the service
+    # when one is given, so identical concurrent runs coalesce.
+    pmax_epsilon = (
+        config.pmax_epsilon if config.pmax_epsilon is not None else parameters.epsilon_zero
+    )
+    if service is not None:
+        pmax = service.estimate_pmax(
+            problem.source,
+            problem.target,
+            epsilon=pmax_epsilon,
             confidence_n=config.confidence_n,
-            policy=config.sample_policy,
-            fixed=config.fixed_realizations,
-            min_realizations=config.min_realizations,
-            max_realizations=config.max_realizations,
+            max_samples=config.pmax_max_samples,
+        )
+    else:
+        pmax = estimate_pmax(
+            problem.graph,
+            problem.source,
+            problem.target,
+            epsilon=pmax_epsilon,
+            confidence_n=config.confidence_n,
+            max_samples=config.pmax_max_samples,
+            rng=pmax_rng,
+            engine=engine,
+            pool=pool,
         )
 
-        # Step 4: sampling framework + MSC (Alg. 3).  A service's pool is
-        # shared with concurrent query executions, so it is consumed under
-        # the service's execution lock.
-        if service is not None:
-            with service.locked_pool() as locked:
-                invitation, diagnostics = run_sampling_framework(
-                    problem,
-                    beta=parameters.beta,
-                    num_realizations=num_realizations,
-                    msc_solver=config.msc_solver,
-                    rng=sampling_rng,
-                    engine=engine,
-                    pool=locked,
-                )
-        else:
+    # Step 3: choose the realization count l.
+    num_realizations = realization_count(
+        parameters,
+        pmax_estimate=pmax.value,
+        confidence_n=config.confidence_n,
+        policy=config.sample_policy,
+        fixed=config.fixed_realizations,
+        min_realizations=config.min_realizations,
+        max_realizations=config.max_realizations,
+    )
+
+    # Step 4: sampling framework + MSC (Alg. 3).  A service's pool is
+    # shared with concurrent query executions, so it is consumed under
+    # the service's execution lock.
+    if service is not None:
+        with service.locked_pool() as locked:
             invitation, diagnostics = run_sampling_framework(
                 problem,
                 beta=parameters.beta,
@@ -457,13 +447,18 @@ def run_raf(
                 msc_solver=config.msc_solver,
                 rng=sampling_rng,
                 engine=engine,
-                pool=pool,
+                pool=locked,
             )
-    finally:
-        # Only tear down an engine this run created; a service keeps its
-        # worker pool warm across queries.
-        if service is None and isinstance(engine, ParallelEngine):
-            engine.close()
+    else:
+        invitation, diagnostics = run_sampling_framework(
+            problem,
+            beta=parameters.beta,
+            num_realizations=num_realizations,
+            msc_solver=config.msc_solver,
+            rng=sampling_rng,
+            engine=engine,
+            pool=pool,
+        )
 
     elapsed = stopwatch.stop()
     return RAFResult(

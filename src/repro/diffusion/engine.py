@@ -79,6 +79,7 @@ __all__ = [
     "NumpyAliasEngine",
     "ENGINE_NAMES",
     "require_engine_name",
+    "canonical_engine_name",
     "create_engine",
     "default_engine",
     "resolve_engine",
@@ -715,22 +716,26 @@ def require_engine_name(name: object) -> str:
     return name.lower()
 
 
-def create_engine(graph: SocialGraph | CompiledGraph, name: str = "python") -> SamplingEngine:
-    """Build a sampling engine for ``graph`` by backend name.
+def canonical_engine_name(name: "str | None") -> str:
+    """The backend a configured engine name selects.
 
-    ``"auto"`` picks the vectorized ``"numpy"`` backend.  Unknown names
-    raise :class:`~repro.exceptions.EngineError`.
+    ``None`` means ``"python"`` and ``"auto"`` the vectorized ``"numpy"``
+    backend.  Unknown names raise :class:`~repro.exceptions.EngineError`.
     """
     key = (name or "python").lower()
     if key == "auto":
         key = NumpyEngine.name
-    try:
-        engine_type = _ENGINE_TYPES[key]
-    except KeyError:
+    if key not in _ENGINE_TYPES:
         raise EngineError(
             f"unknown sampling engine {name!r}; choose one of {', '.join(ENGINE_NAMES)}"
-        ) from None
-    return engine_type(graph)
+        )
+    return key
+
+
+def create_engine(graph: SocialGraph | CompiledGraph, name: str = "python") -> SamplingEngine:
+    """Build a sampling engine for ``graph`` by backend name
+    (see :func:`canonical_engine_name`)."""
+    return _ENGINE_TYPES[canonical_engine_name(name)](graph)
 
 
 def default_engine(graph: SocialGraph | CompiledGraph) -> SamplingEngine:

@@ -25,7 +25,7 @@ from typing import Iterable
 from repro.estimation.monte_carlo import monte_carlo_mean_batched
 from repro.exceptions import EstimationError
 from repro.graph.social_graph import SocialGraph
-from repro.parallel.engine import maybe_parallel, sample_covered_indicators
+from repro.parallel.engine import sample_covered_indicators, shared_engine
 from repro.types import NodeId
 from repro.utils.rng import RandomSource, ensure_rng
 from repro.utils.validation import require_positive_int
@@ -172,7 +172,7 @@ def _estimate_acceptance_reverse(
 ) -> AcceptanceEstimate:
     """``f(I)`` as the covered-trace rate of engine-batched reverse samples."""
     _require_reverse_estimable(graph, source, target)
-    resolved = maybe_parallel(resolve_engine(graph, engine), workers)
+    resolved = shared_engine(graph, engine, workers)
     source_friends = graph.neighbor_set(source)
 
     def draw_batch(size: int) -> bytes:

@@ -212,23 +212,30 @@ class PathBatch:
             raise IndexError(f"path slice [{start}, {stop}) out of range for {len(self)} paths")
         if start == stop:
             return []
-        lookup = self._ids().__getitem__
+        ids = self._ids()
         bounds = self.offsets[start : stop + 1]
-        base = int(bounds[0])
-        flat = self.node_indices[base : int(bounds[-1])].tolist()
-        ends = (bounds[1:] - base).tolist()
-        flags = self.is_type1[start:stop].tolist()
-        anchors = self.anchor_indices[start:stop].tolist()
+        flat = self.node_indices[int(bounds[0]) : int(bounds[-1])]
+        lengths = _np.diff(bounds)
+        flags = self.is_type1[start:stop]
+        anchors = self.anchor_indices[start:stop]
+        if type1_only:  # drop the type-0 rows on the columns, before any lookup
+            flat = flat[_np.repeat(flags, lengths)]
+            lengths, anchors, flags = lengths[flags], anchors[flags], flags[flags]
+        # One id mapping per call: a single gather over a mapped snapshot's
+        # id column, one tuple lookup per node in memory.  This loop is every
+        # engine's object view, so per-path overhead counts.
+        take = getattr(ids, "take", None)
+        if take is None:
+            lookup = ids.__getitem__
+            node_ids = list(map(lookup, flat.tolist()))
+            anchor_ids = list(map(lookup, anchors.tolist()))
+        else:
+            node_ids, anchor_ids = take(flat), take(anchors)
         out: list[TargetPath] = []
         append = out.append
         lo = 0
-        # Positional TargetPath construction and one hoisted id lookup: this
-        # loop is every engine's object view, so per-path overhead counts.
-        for hi, flagged, anchor in zip(ends, flags, anchors):
-            if flagged:
-                append(TargetPath(frozenset(map(lookup, flat[lo:hi])), True, lookup(anchor)))
-            elif not type1_only:
-                append(TargetPath(frozenset(map(lookup, flat[lo:hi])), False))
+        for hi, flagged, anchor in zip(_np.cumsum(lengths).tolist(), flags.tolist(), anchor_ids):
+            append(TargetPath(frozenset(node_ids[lo:hi]), flagged, anchor if flagged else None))
             lo = hi
         return out
 

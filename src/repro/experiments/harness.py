@@ -5,11 +5,10 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.core.problem import ActiveFriendingProblem
-from repro.diffusion.engine import SamplingEngine, resolve_engine
+from repro.diffusion.engine import SamplingEngine
 from repro.diffusion.friending_process import estimate_acceptance_probability
 from repro.exceptions import ExperimentError
 from repro.graph.social_graph import SocialGraph
-from repro.parallel.engine import maybe_parallel
 from repro.pool.sample_pool import SamplePool
 from repro.types import NodeId
 from repro.utils.rng import RandomSource, ensure_rng
@@ -106,11 +105,6 @@ def growth_curve(
         pool = None
     elif pool is not None:
         engine = None
-        workers = None
-    elif engine is not None:
-        # Wrap once before the loop: per-prefix wrapping would fork (and
-        # tear down) a fresh worker pool for every evaluation point.
-        engine = maybe_parallel(resolve_engine(problem.graph, engine), workers)
         workers = None
     limit = len(ranking) if max_size is None else min(max_size, len(ranking))
     if limit == 0:

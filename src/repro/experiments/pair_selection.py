@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.diffusion.engine import SamplingEngine, resolve_engine
 from repro.exceptions import ExperimentError
-from repro.parallel.engine import maybe_parallel, sample_type1_indicators
+from repro.parallel.engine import sample_type1_indicators, shared_engine
 from repro.pool.sample_pool import STREAM_PMAX, SamplePool
 from repro.graph.social_graph import SocialGraph
 from repro.graph.traversal import bfs_distances
@@ -57,7 +57,7 @@ def screen_pmax(
         resolve_engine(graph, pool.engine)
         hits = sum(pool.type1_indicators(target, source_friends, num_samples, stream=STREAM_PMAX))
         return hits / num_samples
-    resolved = maybe_parallel(resolve_engine(graph, engine), workers)
+    resolved = shared_engine(graph, engine, workers)
     hits = sum(sample_type1_indicators(resolved, target, source_friends, num_samples, rng=generator))
     return hits / num_samples
 
@@ -118,7 +118,7 @@ def select_pairs(
     if min_distance < 2:
         raise ExperimentError("min_distance must be at least 2 (non-friend pairs)")
     generator = ensure_rng(rng)
-    resolved = maybe_parallel(resolve_engine(graph, engine), workers)
+    resolved = shared_engine(graph, engine, workers)
     nodes = graph.node_list()
     if len(nodes) < 2:
         raise ExperimentError("the graph has fewer than two users")

@@ -158,6 +158,11 @@ class _MappedNodeIds:
             return tuple(self._ids[index].tolist())
         return int(self._ids[index])
 
+    def take(self, indices) -> list:
+        """The ids at an integer array of dense ``indices``, as one list
+        (a single gather, not one ``__getitem__`` per index)."""
+        return self._ids[indices].tolist()
+
     def __iter__(self) -> Iterator[int]:
         ids = self._ids
         for lo in range(0, len(self), self._CHUNK):

@@ -14,12 +14,14 @@ from repro.parallel.engine import (
     DEFAULT_CHUNK_SIZE,
     WORKERS_AUTO,
     ParallelEngine,
+    close_shared_engine,
     collect_type1,
     fork_available,
     maybe_parallel,
     resolve_worker_count,
     sample_covered_indicators,
     sample_type1_indicators,
+    shared_engine,
 )
 from repro.parallel.shm import (
     TRANSPORTS,
@@ -35,6 +37,7 @@ __all__ = [
     "WORKERS_AUTO",
     "ParallelEngine",
     "ShmBatchRef",
+    "close_shared_engine",
     "collect_type1",
     "fork_available",
     "maybe_parallel",
@@ -42,6 +45,7 @@ __all__ = [
     "resolve_worker_count",
     "sample_covered_indicators",
     "sample_type1_indicators",
+    "shared_engine",
     "shm_available",
     "sweep_orphans",
 ]

@@ -33,6 +33,17 @@ than it saves).  The pool is forked by :meth:`ParallelEngine.start` -- or,
 failing that, on first parallel dispatch -- reused across calls, and torn
 down when the engine is closed or collected.  One engine may serve several
 threads: dispatches and pool teardown are serialized on the engine's lock.
+A pool belongs to the process that forked it: in a forked child (say, a
+scenario-matrix cell) the inherited pool is disowned untouched -- neither
+dispatched to nor terminated -- and the child forks its own on first use.
+
+Who owns the engine decides when its pool dies.  A caller that builds one
+(:func:`maybe_parallel`: a server, the CLI's ``--pool``) closes it.  The
+one-shot entry points (``run_raf``, ``estimate_pmax``, the evaluation and
+screening helpers) get theirs from :func:`shared_engine` instead: one cached
+engine per process for the current (snapshot, engine, worker count), reused
+by every call with that key, replaced -- the old pool closed first -- when
+the key changes, and torn down at exit.
 
 Transport (DESIGN.md §7): every chunk is a columnar
 :class:`~repro.diffusion.path_batch.PathBatch`; finished chunks travel back
@@ -58,11 +69,18 @@ import time
 import weakref
 from typing import Iterable
 
-from repro.diffusion.engine import SamplingEngine, TargetPath, collect_type1_paths
+from repro.diffusion.engine import (
+    SamplingEngine,
+    TargetPath,
+    canonical_engine_name,
+    collect_type1_paths,
+    resolve_engine,
+)
 from repro.diffusion.path_batch import PathBatch
 from repro.exceptions import EngineError, WorkerCrashError
 from repro.faults import SITE_SHM_PUBLISH, SITE_SLOW_CHUNK, SITE_WORKER_KILL, FaultPlan
-from repro.graph.compiled import CompiledGraph
+from repro.graph.compiled import CompiledGraph, compile_graph
+from repro.graph.social_graph import SocialGraph
 from repro.parallel import shm as shm_transport
 from repro.parallel.shm import ShmBatchRef, resolve_transport
 from repro.types import NodeId
@@ -78,6 +96,8 @@ __all__ = [
     "fork_available",
     "resolve_worker_count",
     "maybe_parallel",
+    "shared_engine",
+    "close_shared_engine",
     "sample_type1_indicators",
     "sample_covered_indicators",
     "collect_type1",
@@ -267,6 +287,11 @@ def _shutdown_pool(pool) -> None:
     pool.join()
 
 
+#: Pools a forked child inherited from its parent and disowned (see
+#: ParallelEngine._disown_pool): referenced, never used, never collected.
+_INHERITED_POOLS: list = []
+
+
 # --------------------------------------------------------------------------- #
 # The engine wrapper
 # --------------------------------------------------------------------------- #
@@ -317,6 +342,7 @@ class ParallelEngine:
         self._pool = None
         self._pool_finalizer = None
         self._pool_snapshot = None
+        self._pool_pid = None  # the process that forked self._pool
         # Guards the pool lifecycle and the crash bookkeeping: concurrent
         # dispatches take turns, and close() never tears a pool down under one.
         self._lock = threading.RLock()
@@ -419,6 +445,8 @@ class ParallelEngine:
                 self._ensure_pool()
 
     def _ensure_pool(self):
+        if self._pool is not None and self._pool_pid != os.getpid():
+            self._disown_pool()
         # Workers inherit the base engine's CSR snapshot at fork time, so a
         # pool forked before the source graph was mutated would keep sampling
         # the dead snapshot.  Reading base.compiled re-snapshots the base
@@ -438,7 +466,25 @@ class ParallelEngine:
             )
             self._pool_finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
             self._pool_snapshot = current
+            self._pool_pid = os.getpid()
         return self._pool
+
+    def _disown_pool(self) -> None:
+        """Forget a pool this process inherited by ``fork``, untouched.
+
+        Its workers are the forking parent's children, its pipes are the
+        parent's, and its handler threads did not survive the fork: this
+        process may neither dispatch to it nor terminate it.  The finalizer
+        is detached so exit never kills the parent's workers, and the
+        ``Pool`` object is kept referenced so that collecting it never
+        writes to the parent's task pipe (``Pool.__del__`` wakes its
+        handler).
+        """
+        self._pool_finalizer.detach()
+        _INHERITED_POOLS.append(self._pool)
+        self._pool = None
+        self._pool_finalizer = None
+        self._pool_snapshot = None
 
     def close(self) -> None:
         """Tear down the worker pool (idempotent; the engine stays usable --
@@ -446,8 +492,11 @@ class ParallelEngine:
         shared-memory orphans: with the pool gone no descriptor is in
         flight, so any surviving segment under this process's prefix is the
         leftover of a crashed worker and is unlinked.  Waits for a dispatch
-        running on another thread to finish first."""
+        running on another thread to finish first.  In a forked child the
+        inherited pool is only disowned (see :meth:`_disown_pool`)."""
         with self._lock:
+            if self._pool is not None and self._pool_pid != os.getpid():
+                self._disown_pool()
             had_pool = self._pool is not None
             if self._pool_finalizer is not None:
                 self._pool_finalizer()
@@ -743,6 +792,71 @@ def maybe_parallel(
     return ParallelEngine(
         engine, workers=resolved, chunk_size=chunk_size, on_worker_failure=on_worker_failure
     )
+
+
+#: The process's one cached engine, ``((snapshot, engine key, workers),
+#: engine)``, or None.  Read and replaced under _SHARED_LOCK.
+_SHARED: "tuple[tuple, ParallelEngine] | None" = None
+_SHARED_LOCK = threading.Lock()
+
+
+def shared_engine(
+    graph: "SocialGraph | CompiledGraph",
+    engine: "SamplingEngine | str | None",
+    workers: int | str | None,
+) -> SamplingEngine:
+    """The sampling engine a one-shot call with ``workers`` should use.
+
+    With ``workers=None``, or an ``engine`` that is already parallel, this
+    is ``maybe_parallel(resolve_engine(graph, engine), workers)``.
+    Otherwise it is the process's cached :class:`ParallelEngine` for the
+    key (compiled snapshot, engine, worker count), built on first use --
+    the engine is its canonical backend name, or the instance itself when
+    one is passed.  Calls with the same key share one warm worker pool
+    instead of forking and tearing one down per call.  The cache has one
+    slot: a call with a different key (a mutated graph's new snapshot,
+    another backend or worker count) first closes the engine it holds, so a
+    process never keeps more than one cached pool.  Callers leave the
+    returned engine open; :func:`close_shared_engine` releases it early, and
+    it is torn down at exit otherwise.  Results are those of a fresh
+    wrapper: chunk contents are pure functions of their seeds.
+    """
+    global _SHARED
+    resolved = resolve_worker_count(workers)
+    if resolved is None or isinstance(engine, ParallelEngine):
+        return maybe_parallel(resolve_engine(graph, engine), workers)
+    compiled = graph if isinstance(graph, CompiledGraph) else compile_graph(graph)
+    if engine is None or isinstance(engine, str):
+        engine = canonical_engine_name(engine)
+    with _SHARED_LOCK:
+        if _SHARED is not None:
+            (snapshot, *rest), cached = _SHARED
+            if snapshot is compiled and rest == [engine, resolved]:
+                return cached
+            _SHARED = None
+            cached.close()
+        cached = ParallelEngine(resolve_engine(compiled, engine), workers=resolved)
+        _SHARED = ((compiled, engine, resolved), cached)
+        return cached
+
+
+def close_shared_engine() -> None:
+    """Close and forget the engine :func:`shared_engine` caches, if any."""
+    global _SHARED
+    with _SHARED_LOCK:
+        if _SHARED is not None:
+            _SHARED[1].close()
+            _SHARED = None
+
+
+def _reset_shared_lock() -> None:
+    # A fork may catch another thread holding the lock; in the child that
+    # thread does not exist, so the child starts with a free lock.
+    global _SHARED_LOCK
+    _SHARED_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_shared_lock)
 
 
 # --------------------------------------------------------------------------- #

@@ -431,8 +431,10 @@ class SamplePool:
         Synced like :meth:`stats`: a key invalidated by a graph mutation
         counts 0 here even before the next ``take``/``paths`` call.
         """
+        return self._cached_count(pool_key_digest(target, stop_set, stream))
+
+    def _cached_count(self, digest: str) -> int:
         self._sync_snapshot()
-        digest = pool_key_digest(target, stop_set, stream)
         entry = self._entries.get(digest)
         return len(entry.store) if entry is not None else 0
 
@@ -575,10 +577,13 @@ class SamplePool:
             entry.store.append(chunk)
         entry.chunks_drawn = last
 
-    def _entry_for(self, target: NodeId, stop_set: Iterable[NodeId], stream: str) -> _PoolEntry:
+    def _entry_for(
+        self, target: NodeId, stop_set: Iterable[NodeId], stream: str, digest: str
+    ) -> _PoolEntry:
+        """The entry of the key whose :func:`pool_key_digest` is ``digest``:
+        cached, loaded from a spill, or new."""
         self._sync_snapshot()
         stop = stop_set if isinstance(stop_set, frozenset) else frozenset(stop_set)
-        digest = pool_key_digest(target, stop, stream)
         entry = self._entries.get(digest)
         if entry is None:
             entry = self._load_spilled(digest)
@@ -595,7 +600,7 @@ class SamplePool:
         return entry
 
     def _transient_entry(
-        self, target: NodeId, stop_set: Iterable[NodeId], stream: str
+        self, target: NodeId, stop_set: Iterable[NodeId], stream: str, digest: str
     ) -> _PoolEntry:
         """An uncached entry over the same canonical stream (``reuse=False``)."""
         self._sync_snapshot()
@@ -603,7 +608,7 @@ class SamplePool:
             target=target,
             stop_set=stop_set if isinstance(stop_set, frozenset) else frozenset(stop_set),
             stream=stream,
-            key_seed=self._key_seed(pool_key_digest(target, stop_set, stream)),
+            key_seed=self._key_seed(digest),
             spill_digest=self._csr_digest,
         )
 
@@ -615,9 +620,10 @@ class SamplePool:
         upto: int,
         stream: str,
         view: "Callable[[PathStore, int, int], object]",
+        digest: str,
     ):
         """Serve ``view(store, start, upto)`` of a cached key's stream."""
-        entry = self._entry_for(target, stop_set, stream)
+        entry = self._entry_for(target, stop_set, stream, digest)
         self._extend(entry, upto)
         self._served += upto - start
         result = view(entry.store, start, upto)
@@ -633,12 +639,13 @@ class SamplePool:
         view: "Callable[[PathStore, int, int], object]",
     ):
         require_non_negative_int(count, "count")
+        digest = pool_key_digest(target, stop_set, stream)
         if not self._reuse:
             self._served += count
-            entry = self._transient_entry(target, stop_set, stream)
+            entry = self._transient_entry(target, stop_set, stream, digest)
             self._extend(entry, count)
             return view(entry.store, 0, count)
-        return self._serve_segment(target, stop_set, 0, count, stream, view)
+        return self._serve_segment(target, stop_set, 0, count, stream, view, digest)
 
     def paths(
         self, target: NodeId, stop_set: Iterable[NodeId], count: int, stream: str = ""
@@ -1070,6 +1077,7 @@ class PoolReader:
         self._target = target
         self._stop_set = stop_set if isinstance(stop_set, frozenset) else frozenset(stop_set)
         self._stream = stream
+        self._digest = pool_key_digest(target, self._stop_set, stream)  # hashed once per reader
         self._offset = 0
         self._local: _PoolEntry | None = None
 
@@ -1087,7 +1095,7 @@ class PoolReader:
     def cached_remaining(self) -> int:
         """How many already-materialized *pool* samples lie ahead of the cursor
         (always 0 for a ``reuse=False`` pool: nothing outlives a query)."""
-        cached = self._pool.cached_count(self._target, self._stop_set, self._stream)
+        cached = self._pool._cached_count(self._digest)
         return max(0, cached - self._offset)
 
     def _take(self, count: int, view: "Callable[[PathStore, int, int], object]"):
@@ -1095,12 +1103,12 @@ class PoolReader:
         upto = self._offset + count
         if self._pool.reuse:
             result = self._pool._serve_segment(
-                self._target, self._stop_set, self._offset, upto, self._stream, view
+                self._target, self._stop_set, self._offset, upto, self._stream, view, self._digest
             )
         else:
             if self._local is None:
                 self._local = self._pool._transient_entry(
-                    self._target, self._stop_set, self._stream
+                    self._target, self._stop_set, self._stream, self._digest
                 )
             self._pool._extend(self._local, upto)
             self._pool._served += count

@@ -113,6 +113,26 @@ class TestReader:
         reader.take(30)
         assert reader.cached_remaining() == pool.chunk_size - 30
 
+    @pytest.mark.parametrize("reuse", [True, False])
+    def test_key_is_hashed_once_per_estimate(self, setting, monkeypatch, reuse):
+        from repro.core.raf import estimate_pmax
+        from repro.pool import sample_pool
+
+        graph, target, _ = setting
+        source = graph.node_list()[0]
+        pool = SamplePool(create_engine(graph, "numpy"), seed=7, reuse=reuse)
+        cold = estimate_pmax(graph, source, target, confidence_n=1000.0, pool=pool)
+        calls = []
+
+        def counting_digest(*args, **kwargs):
+            calls.append(args)
+            return pool_key_digest(*args, **kwargs)
+
+        monkeypatch.setattr(sample_pool, "pool_key_digest", counting_digest)
+        warm = estimate_pmax(graph, source, target, confidence_n=1000.0, pool=pool)
+        assert warm == cold
+        assert len(calls) == 1  # the reader's, for cached_remaining() and every take
+
 
 class TestIndicators:
     def test_indicators_agree_with_paths(self, setting):
