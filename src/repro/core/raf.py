@@ -31,7 +31,7 @@ from repro.core.parameters import (
 )
 from repro.core.problem import ActiveFriendingProblem
 from repro.core.result import RAFResult
-from repro.diffusion.engine import SamplingEngine, require_engine_name, resolve_engine
+from repro.diffusion.engine import DrawPlan, SamplingEngine, require_engine_name, resolve_engine
 from repro.estimation.stopping_rule import StoppingRuleExhausted, stopping_rule_estimate_batched
 from repro.exceptions import AlgorithmError
 from repro.graph.social_graph import SocialGraph
@@ -179,7 +179,9 @@ def estimate_pmax(
     Runs the stopping rule of Alg. 2 over the type indicator ``y(ĝ)`` of
     reverse-sampled realizations, drawn from the sampling ``engine`` in
     geometrically growing batches (the rule still stops at exactly the same
-    sample as a one-at-a-time run over the same stream).  ``workers``
+    sample as a one-at-a-time run over the same stream).  Each of the
+    rule's requests draws its batches with one :class:`DrawPlan`, so they
+    share one kernel walk while every batch keeps its own stream.  ``workers``
     optionally fans the batches out over a worker pool
     (:func:`repro.parallel.engine.shared_engine`); the merged stream -- and
     so the estimate and the consumed sample count -- is identical for every
@@ -211,20 +213,26 @@ def estimate_pmax(
         # the pool's columns; the reader's cursor then sits at its end, so
         # take_type1_bytes continues the same stream with fresh draws.
         warm = reader.take_type1_bytes(reader.cached_remaining())
-        draw_batch = reader.take_type1_bytes
+
+        def draw_batches(sizes: tuple) -> bytes:
+            return reader.take_type1_bytes(sum(sizes))
+
     else:
         warm = None
         resolved = shared_engine(graph, engine, workers)
 
-        def draw_batch(size: int) -> bytes:
+        def draw_batches(sizes: tuple) -> bytes:
+            # The rule's batches as one request: each batch keeps the stream
+            # a call of its own would draw, and they share one kernel walk.
             # One 0/1 byte per realization: with a parallel engine the type
             # indicators are computed worker-side and only these bytes cross
             # the process boundary.
-            return sample_type1_indicators(resolved, target, source_friends, size, rng=generator)
+            plan = DrawPlan(tuple((size, generator) for size in sizes))
+            return sample_type1_indicators(resolved, target, source_friends, plan.count, rng=plan)
 
     try:
         result = stopping_rule_estimate_batched(
-            draw_batch,
+            draw_batches,
             epsilon=epsilon,
             delta=1.0 / confidence_n,
             max_samples=max_samples,

@@ -11,7 +11,9 @@ defines the one interface all of those go through:
   columnar :class:`~repro.diffusion.path_batch.PathBatch`, the only
   representation of drawn paths; ``sample_paths`` is the shared object
   view of that batch (``sample_path_batch(...).to_paths()``), returning
-  :class:`TargetPath` objects.
+  :class:`TargetPath` objects.  ``rng`` may be a :class:`DrawPlan` of
+  several seeded groups, which one request draws as if by one call per
+  group, in order.
 * :class:`PythonEngine` -- the default, bit-compatible stream.  It walks the
   :class:`~repro.graph.compiled.CompiledGraph` CSR arrays with an
   allocation-free binary search per step and consumes the ``random.Random``
@@ -25,7 +27,9 @@ defines the one interface all of those go through:
   selection uses a single ``searchsorted`` over a globally shifted
   cumulative-weight array), the cycle check compares against each
   walker's own recent history, and finished walks are compacted out with
-  boolean masks -- zero per-walker Python bookkeeping.  The kernel emits
+  boolean masks -- zero per-walker Python bookkeeping.  The groups of a
+  :class:`DrawPlan` share one lockstep walk, each drawing from its own
+  generator.  The kernel emits
   a columnar :class:`~repro.diffusion.path_batch.PathBatch` directly; its
   object view is bit-identical, draw for draw, to the historical
   per-walker lockstep kernel (retained as
@@ -56,6 +60,7 @@ contract).
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from array import array
 from bisect import bisect_right
 from typing import Iterable, Protocol, runtime_checkable
@@ -74,6 +79,9 @@ __all__ = [
     "TargetPath",
     "PathBatch",
     "SamplingEngine",
+    "DrawPlan",
+    "plan_groups",
+    "pack_walks",
     "PythonEngine",
     "NumpyEngine",
     "NumpyAliasEngine",
@@ -89,8 +97,59 @@ __all__ = [
 #: Engine names accepted by :func:`create_engine` (and the CLI ``--engine`` flag).
 ENGINE_NAMES = ("python", "numpy", "numpy-alias", "auto")
 
-#: Batch size used when a huge sample count is split into bounded chunks.
+#: Batch size used when a huge sample count is split into bounded chunks,
+#: and the most paths the groups of one fused lockstep walk may hold.
 DEFAULT_CHUNK_SIZE = 8192
+
+
+@dataclass(frozen=True, slots=True)
+class DrawPlan:
+    """Several seeded groups drawn by one sampling request, in order.
+
+    ``groups`` holds ``(count, rng)`` pairs.  ``engine.sample_path_batch(
+    target, stop_set, plan.count, rng=plan)`` returns the groups' paths
+    concatenated in group order, group ``k`` exactly the batch a lone
+    ``sample_path_batch(target, stop_set, count_k, rng=rng_k)`` call
+    returns; groups that share one generator consume it in group order,
+    as successive calls would.  A plain ``rng`` is the one-group plan.
+    """
+
+    groups: tuple
+
+    @property
+    def count(self) -> int:
+        """The total number of paths the plan draws."""
+        return sum(size for size, _ in self.groups)
+
+
+def plan_groups(count: int, rng: "RandomSource | DrawPlan") -> tuple:
+    """The ``(count, rng)`` groups a request draws: a plan's, or ``((count, rng),)``."""
+    if not isinstance(rng, DrawPlan):
+        return ((count, rng),)
+    for size, _ in rng.groups:
+        require_non_negative_int(size, "count")
+    if rng.count != count:
+        raise EngineError(f"a draw plan of {rng.count} paths was requested as {count}")
+    return rng.groups
+
+
+def pack_walks(groups, limit: int) -> list:
+    """Split ``(count, ...)`` groups into contiguous runs of at most ``limit`` paths.
+
+    Runs keep the group order; a group larger than ``limit`` runs alone.
+    """
+    runs: list = []
+    run: list = []
+    held = 0
+    for group in groups:
+        if run and held + group[0] > limit:
+            runs.append(run)
+            run, held = [], 0
+        run.append(group)
+        held += group[0]
+    if run:
+        runs.append(run)
+    return runs
 
 
 @runtime_checkable
@@ -117,12 +176,17 @@ class SamplingEngine(Protocol):
         ...
 
     def sample_path_batch(
-        self, target: NodeId, stop_set: Iterable[NodeId], count: int, rng: RandomSource = None
+        self,
+        target: NodeId,
+        stop_set: Iterable[NodeId],
+        count: int,
+        rng: "RandomSource | DrawPlan" = None,
     ) -> PathBatch:
         """Draw ``count`` backward traces as one columnar :class:`PathBatch`.
 
         ``sample_paths`` with the same arguments returns exactly this
-        batch's object view, in the same order.
+        batch's object view, in the same order.  ``rng`` may be a
+        :class:`DrawPlan` whose groups total ``count``.
         """
         ...
 
@@ -256,7 +320,11 @@ class PythonEngine(_EngineBase):
     name = "python"
 
     def sample_path_batch(
-        self, target: NodeId, stop_set: Iterable[NodeId], count: int, rng: RandomSource = None
+        self,
+        target: NodeId,
+        stop_set: Iterable[NodeId],
+        count: int,
+        rng: "RandomSource | DrawPlan" = None,
     ) -> PathBatch:
         """Draw ``count`` backward traces with the stdlib bisect walk.
 
@@ -266,10 +334,15 @@ class PythonEngine(_EngineBase):
         memory-mapped from disk (the binary search only ever touches the
         CSR slice of the node being stepped).  The walk appends each
         trace's dense indices (target first, then walk order) straight
-        into the batch columns; no per-path object is built.
+        into the batch columns; no per-path object is built.  The groups
+        of a :class:`DrawPlan` are walked one after another.
         """
         require_non_negative_int(count, "count")
-        generator = ensure_rng(rng)
+        groups = plan_groups(count, rng)
+        if len(groups) != 1:
+            batches = [self.sample_path_batch(target, stop_set, *group) for group in groups]
+            return PathBatch.concat(batches, self.compiled)
+        generator = ensure_rng(groups[0][1])
         compiled = self.compiled  # re-snapshots if the source graph mutated
         start = compiled.index_of(target)
         stop = compiled.indices_of(stop_set)
@@ -463,7 +536,11 @@ class NumpyEngine(_EngineBase):
     # ------------------------------------------------------------------ #
 
     def sample_path_batch(
-        self, target: NodeId, stop_set: Iterable[NodeId], count: int, rng: RandomSource = None
+        self,
+        target: NodeId,
+        stop_set: Iterable[NodeId],
+        count: int,
+        rng: "RandomSource | DrawPlan" = None,
     ) -> PathBatch:
         """Draw ``count`` backward traces as one columnar :class:`PathBatch`.
 
@@ -472,11 +549,19 @@ class NumpyEngine(_EngineBase):
         seed on this engine's named stream, bit-identical to
         :meth:`sample_paths_reference`, and bit-identical between in-memory
         and memory-mapped snapshots of the same graph.
+
+        The groups of a :class:`DrawPlan` share one lockstep walk of at
+        most :data:`DEFAULT_CHUNK_SIZE` paths (a larger group walks alone):
+        each round, every group with live walkers draws ``random(live_k)``
+        from its own generator, so group ``k``'s paths are bit-identical to
+        a lone call with ``count_k`` and ``rng_k``.
         """
         require_non_negative_int(count, "count")
+        groups = plan_groups(count, rng)
         with self._lock:
             np = self._np
-            nprng = self._batch_rng(rng)
+            # Generators are derived in group order, as successive calls would.
+            seeded = [(size, self._batch_rng(group_rng)) for size, group_rng in groups]
             compiled = self.compiled  # re-snapshots (and rebinds arrays) if stale
             start = compiled.index_of(target)
             if count == 0:
@@ -491,11 +576,42 @@ class NumpyEngine(_EngineBase):
                     compiled,
                 )
             stop_mask = self._stop_mask(compiled, stop_set)
-            return self._columnar_kernel(compiled, start, stop_mask, count, nprng)
+            walks = [
+                self._columnar_kernel(compiled, start, stop_mask, walk)
+                for walk in pack_walks(seeded, DEFAULT_CHUNK_SIZE)
+            ]
+            return walks[0] if len(walks) == 1 else PathBatch.concat(walks, compiled)
 
-    def _columnar_kernel(self, compiled, start, stop_mask, count, nprng) -> PathBatch:
+    def _group_draws(self, groups):
+        """The per-round uniform draws of one walk over ``(count, generator)`` groups.
+
+        Returns ``draw(rows)``: ``random(live_k)`` from group ``k``'s own
+        generator for each group with live walkers, in group order.
+        Compaction keeps walker slots sorted, so each group's live walkers
+        are one contiguous run of ``rows``.
+        """
+        np = self._np
+        if len(groups) == 1:
+            generator = groups[0][1]
+            return lambda rows: generator.random(rows.size)
+        generators = [generator for _, generator in groups]
+        bounds = np.cumsum([size for size, _ in groups])[:-1]
+
+        def draw(rows):
+            draws = np.empty(rows.size)
+            cuts = [0, *np.searchsorted(rows, bounds).tolist(), rows.size]
+            for generator, low, high in zip(generators, cuts, cuts[1:]):
+                if high > low:
+                    generator.random(out=draws[low:high])
+            return draws
+
+        return draw
+
+    def _columnar_kernel(self, compiled, start, stop_mask, groups) -> PathBatch:
         np = self._np
         num_nodes = len(compiled)
+        count = sum(size for size, _ in groups)
+        draw = self._group_draws(groups)
         # Lockstep walkers have all taken the same number of steps, so their
         # recent paths form one dense (width x live) block, its rows doubling
         # up to HISTORY_WINDOW as walks lengthen: one comparison per round is
@@ -514,7 +630,7 @@ class NumpyEngine(_EngineBase):
         step_nodes: list = []  # ... and the node each of them moved to
         while rows.size:
             live = rows.size
-            draws = nprng.random(live)
+            draws = draw(rows)
             alive, chosen = self._select_parents(current, draws)
             # Precedence exactly as the per-walker kernels: a draw in the
             # stop-probability tail or a revisited node ends the walk as

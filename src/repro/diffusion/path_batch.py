@@ -154,6 +154,30 @@ class PathBatch:
             graph,
         )
 
+    def split(self, sizes: Sequence[int]) -> list["PathBatch"]:
+        """Consecutive sub-batches of ``sizes[k]`` paths each, in order.
+
+        The inverse of :meth:`concat`: ``concat(batch.split(sizes))``
+        has this batch's columns.  The parts own copies of their columns,
+        so they outlive a batch whose columns are shared-memory views.
+        """
+        parts = []
+        first = 0
+        for size in sizes:
+            last = first + size
+            low, high = int(self.offsets[first]), int(self.offsets[last])
+            parts.append(
+                PathBatch(
+                    self.offsets[first : last + 1] - low,
+                    self.node_indices[low:high].copy(),
+                    self.is_type1[first:last].copy(),
+                    self.anchor_indices[first:last].copy(),
+                    self.graph,
+                )
+            )
+            first = last
+        return parts
+
     # ------------------------------------------------------------------ #
     # Introspection and lazy per-path views
     # ------------------------------------------------------------------ #

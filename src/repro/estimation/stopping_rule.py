@@ -168,7 +168,7 @@ _MAX_BATCH = 65536
 
 
 def stopping_rule_estimate_batched(
-    batch_sampler: Callable[[int], Sequence[float] | bytes],
+    batch_sampler: Callable[[tuple[int, ...]], Sequence[float] | bytes],
     epsilon: float,
     delta: float,
     max_samples: int | None = None,
@@ -185,8 +185,18 @@ def stopping_rule_estimate_batched(
     sizes grow geometrically from 64 up to 65536, and are clipped so no
     more than ``max_samples`` draws are requested in total.
 
-    Every batch is folded in one vectorized step: ``np.add.accumulate``
-    runs from the running total through the batch, which is the same
+    The rule owns the schedule and asks for several batches per request.
+    Every sample is at most 1, so a batch cannot halt the rule while the
+    batches before it sum to less than ``Υ − total``: a request holds all
+    the batches it is certain to draw -- those that cannot reach
+    ``Υ − total``, plus the next one.  Once the rule has samples it adds
+    at most one more batch, when the running mean predicts that the
+    certain ones fall short of ``Υ``.  So the rule halts in one of a
+    request's last two batches and never draws more than one batch past
+    the batch it halts in.
+
+    Every request is folded in one vectorized step: ``np.add.accumulate``
+    runs from the running total through the samples, which is the same
     left-to-right float sum as per-sample folding, and the rule halts at
     the first index whose running sum reaches the threshold.  Samples are
     checked against ``[0, 1]`` only up to and including that index;
@@ -195,8 +205,11 @@ def stopping_rule_estimate_batched(
     Parameters
     ----------
     batch_sampler:
-        Callable mapping a batch size ``k`` to ``k`` samples in ``[0, 1]``:
-        a float sequence or ``bytes`` of 0/1 indicators.
+        Callable mapping a tuple of batch sizes to their samples in
+        ``[0, 1]``, concatenated in order: a float sequence or ``bytes``
+        of 0/1 indicators.  An engine-backed sampler draws batch ``k``
+        as the ``k``-th of successive draws from its stream (the batch
+        boundaries may fix its seeds); a plain stream may ignore them.
     epsilon, delta, max_samples:
         As in :func:`stopping_rule_estimate`.
     warm_start:
@@ -223,7 +236,7 @@ def stopping_rule_estimate_batched(
     count = 0
 
     def consume(values) -> bool:
-        """Fold one batch into the running sum; True when the rule halts."""
+        """Fold samples into the running sum; True when the rule halts."""
         nonlocal total, count
         if isinstance(values, (bytes, bytearray)):
             values = np.frombuffer(values, dtype=np.uint8)
@@ -254,9 +267,23 @@ def stopping_rule_estimate_batched(
     while not stopped:
         if max_samples is not None and count >= max_samples:
             raise StoppingRuleExhausted(count, total, threshold)
-        size = batch if max_samples is None else min(batch, max_samples - count)
-        stopped = consume(batch_sampler(size))
-        batch = min(batch * _BATCH_GROWTH, _MAX_BATCH)
+        room = math.inf if max_samples is None else max_samples - count
+        sizes: list[int] = []
+        planned = 0
+
+        def plan_next() -> None:
+            nonlocal batch, planned
+            size = int(min(batch, room - planned))
+            sizes.append(size)
+            planned += size
+            batch = min(batch * _BATCH_GROWTH, _MAX_BATCH)
+
+        plan_next()
+        while total + planned < threshold and planned < room:
+            plan_next()  # the batches so far cannot halt the rule: this one is drawn
+        if count and planned < room and total + total / count * planned < threshold:
+            plan_next()  # the running mean predicts the certain batches fall short
+        stopped = consume(batch_sampler(tuple(sizes)))
     return StoppingRuleResult(
         estimate=threshold / count,
         num_samples=count,

@@ -69,11 +69,15 @@ import time
 import weakref
 from typing import Iterable
 
+from repro.diffusion.engine import DEFAULT_CHUNK_SIZE as WALK_SIZE
 from repro.diffusion.engine import (
+    DrawPlan,
     SamplingEngine,
     TargetPath,
     canonical_engine_name,
     collect_type1_paths,
+    pack_walks,
+    plan_groups,
     resolve_engine,
 )
 from repro.diffusion.path_batch import PathBatch
@@ -111,6 +115,11 @@ WORKERS_AUTO = "auto"
 #: parallelism.  Large enough to amortize task pickling, small enough that a
 #: typical stopping-rule batch still spreads over several workers.
 DEFAULT_CHUNK_SIZE = 2048
+
+#: Default chunks per fused walk: a walk holds at most
+#: ``min(WALK_SIZE, WALK_CHUNKS * chunk_size)`` paths, which is the base
+#: engine's walk bound (8192) at the default chunk size.
+WALK_CHUNKS = WALK_SIZE // DEFAULT_CHUNK_SIZE
 
 #: How many respawn-and-retry rounds a lost chunk gets before the engine
 #: gives up (raises :class:`~repro.exceptions.WorkerCrashError`) or degrades
@@ -211,33 +220,35 @@ def _ship_batch(batch: PathBatch):
     return batch
 
 
-def _sample_batch_chunk_on(
-    engine: SamplingEngine, payload: tuple[NodeId, frozenset, int, int]
-) -> PathBatch:
-    """Draw one chunk on ``engine`` from its own seed-rebuilt generator.
+def _sample_walk_on(engine: SamplingEngine, payload: tuple) -> PathBatch:
+    """Draw one walk's chunks on ``engine`` as one fused lockstep walk.
 
-    Returned batches pickle as packed array buffers -- the graph reference
-    is dropped in transit and the parent re-attaches its own snapshot --
-    so shipping full paths between processes costs a few flat arrays
-    instead of one pickled :class:`TargetPath` per sample.
+    ``payload`` is ``(target, stop_set, sized_seeds)``; chunk ``i`` draws
+    from a generator rebuilt from its seed, so its paths are those a lone
+    ``sample_path_batch(target, stop_set, size_i, rng=random.Random(seed_i))``
+    returns.  Returned batches pickle as packed array buffers -- the graph
+    reference is dropped in transit and the parent re-attaches its own
+    snapshot -- so shipping full paths between processes costs a few flat
+    arrays instead of one pickled :class:`TargetPath` per sample.
     """
-    target, stop_set, count, seed = payload
-    return engine.sample_path_batch(target, stop_set, count, rng=random.Random(seed))
+    target, stop_set, sized_seeds = payload
+    plan = DrawPlan(tuple((size, random.Random(seed)) for size, seed in sized_seeds))
+    return engine.sample_path_batch(target, stop_set, plan.count, rng=plan)
 
 
-def _sample_batch_chunk(payload: tuple[NodeId, frozenset, int, int]):
+def _sample_walk(payload: tuple):
     assert _WORKER_ENGINE is not None, "worker pool used before initialization"
-    return _ship_batch(_sample_batch_chunk_on(_WORKER_ENGINE, payload))
+    return _ship_batch(_sample_walk_on(_WORKER_ENGINE, payload))
 
 
-def _reduce_chunk_on(engine: SamplingEngine, payload) -> object:
-    reducer, target, stop_set, count, seed, arg = payload
-    return reducer(_sample_batch_chunk_on(engine, (target, stop_set, count, seed)), arg)
+def _reduce_walk_on(engine: SamplingEngine, payload) -> object:
+    reducer, target, stop_set, sized_seeds, arg = payload
+    return reducer(_sample_walk_on(engine, (target, stop_set, sized_seeds)), arg)
 
 
-def _reduce_chunk(payload) -> object:
+def _reduce_walk(payload) -> object:
     assert _WORKER_ENGINE is not None, "worker pool used before initialization"
-    return _reduce_chunk_on(_WORKER_ENGINE, payload)
+    return _reduce_walk_on(_WORKER_ENGINE, payload)
 
 
 def _run_with_fault(directives, run_pooled, payload):
@@ -266,10 +277,11 @@ def _run_with_fault(directives, run_pooled, payload):
     return run_pooled(payload)
 
 
-# Chunk reducers.  Applied worker-side so a chunk's IPC cost is one byte per
+# Walk reducers.  Applied worker-side so a walk's IPC cost is one byte per
 # sample (indicators) or only the useful paths (type-1 filtering) instead of
 # every path; must be top-level functions so they pickle by reference.  Each
-# reduces a chunk's columns directly, building no per-path objects.
+# reduces a walk's columns directly, building no per-path objects, and a
+# walk's reduction is its chunks' reductions concatenated.
 def _type1_indicator_bytes(chunk: PathBatch, _arg) -> bytes:
     return chunk.type1_bytes()
 
@@ -333,11 +345,13 @@ class ParallelEngine:
         self._base = base
         self._workers = resolved
         self._chunk_size = int(chunk_size)
+        self._walk_size = min(WALK_SIZE, WALK_CHUNKS * self._chunk_size)
         self._transport = resolve_transport(transport)
         self._max_chunk_retries = int(max_chunk_retries)
         self._on_worker_failure = on_worker_failure
         self._fault_plan = fault_plan
         self._degraded = False
+        self._retired = False
         self._worker_crashes = 0
         self._pool = None
         self._pool_finalizer = None
@@ -366,6 +380,13 @@ class ParallelEngine:
     def chunk_size(self) -> int:
         """Paths per chunk (worker-count independent)."""
         return self._chunk_size
+
+    @property
+    def walk_size(self) -> int:
+        """Most paths one fused lockstep walk holds (a larger chunk walks
+        alone); a request of at most this many paths never leaves the
+        parent."""
+        return self._walk_size
 
     @property
     def transport(self) -> str:
@@ -429,8 +450,21 @@ class ParallelEngine:
     # ------------------------------------------------------------------ #
 
     def _forks(self) -> bool:
-        """Whether multi-chunk dispatches go to a worker pool at all."""
-        return self._workers > 1 and fork_available() and not self._degraded
+        """Whether multi-walk dispatches go to a worker pool at all."""
+        return (
+            self._workers > 1 and fork_available() and not self._degraded and not self._retired
+        )
+
+    def retire(self) -> None:
+        """Close the pool for good: every later dispatch runs in the parent.
+
+        :func:`shared_engine` retires the engine its slot lets go of, so a
+        run still sampling from it finishes in-process (same results)
+        instead of forking a pool no cache will ever close.
+        """
+        with self._lock:
+            self._retired = True
+            self.close()
 
     def start(self) -> None:
         """Fork the worker pool now rather than on the first dispatch.
@@ -546,19 +580,26 @@ class ParallelEngine:
         return self.sample_path_batch(target, stop_set, count, rng=rng).to_paths()
 
     def sample_path_batch(
-        self, target: NodeId, stop_set: Iterable[NodeId], count: int, rng: RandomSource = None
+        self,
+        target: NodeId,
+        stop_set: Iterable[NodeId],
+        count: int,
+        rng: "RandomSource | DrawPlan" = None,
     ) -> PathBatch:
         """Draw ``count`` traces as one columnar batch (chunked fan-out).
 
         The request is split into fixed-size chunks, each chunk is drawn
-        from its own derived-seed generator (possibly on a worker process,
-        which ships packed columns back), and the chunks are concatenated
-        in chunk order on the parent -- so the result is independent of
-        the worker count and of chunk scheduling.
+        from its own derived-seed generator, the chunks are fused into
+        walks of at most :attr:`walk_size` paths (possibly on a worker
+        process, which ships packed columns back), and the walks are
+        concatenated in order on the parent -- so the result is
+        independent of the worker count and of walk scheduling.  A
+        :class:`~repro.diffusion.engine.DrawPlan` chunks each of its
+        groups as a lone call with that group's count and rng would.
         """
         compiled = self.compiled
-        chunks = self._run_chunks(target, stop_set, count, rng)
-        return PathBatch.concat([chunk.attach(compiled) for chunk in chunks], compiled)
+        walks = self._run_walks(target, stop_set, self._chunk_layout(count, rng))
+        return PathBatch.concat([walk.attach(compiled) for walk in walks], compiled)
 
     def sample_seeded_batches(
         self,
@@ -566,7 +607,7 @@ class ParallelEngine:
         stop_set: Iterable[NodeId],
         sized_seeds: "list[tuple[int, int]]",
     ) -> list[PathBatch]:
-        """Draw explicitly seeded chunks, fanned over the worker pool.
+        """Draw explicitly seeded chunks, fused into walks over the worker pool.
 
         ``sized_seeds`` is a list of ``(count, seed)`` pairs; chunk ``i`` is
         ``sample_path_batch(target, stop_set, count_i,
@@ -575,14 +616,19 @@ class ParallelEngine:
         sample pool (:mod:`repro.pool`) uses to extend a key by several
         chunks at once: the caller owns the seed schedule (so the chunk
         contents are a pure function of the seeds, worker-count
-        independent), and each worker's shard is merged back
-        deterministically by position.
+        independent), and each walk is split back into its chunks by
+        position.
         """
         compiled = self.compiled
-        chunks = self._run_seeded(
-            target, stop_set, sized_seeds, _sample_batch_chunk, _sample_batch_chunk_on
-        )
-        return [chunk.attach(compiled) for chunk in chunks]
+        for size, _ in sized_seeds:
+            require_non_negative_int(size, "count")
+        walks = self._run_walks(target, stop_set, sized_seeds)
+        sizes = iter(size for size, _ in sized_seeds)
+        return [
+            chunk
+            for walk, chunks in zip(walks, pack_walks(sized_seeds, self._walk_size))
+            for chunk in walk.attach(compiled).split([next(sizes) for _ in chunks])
+        ]
 
     def sample_seeded_chunks(
         self,
@@ -594,71 +640,78 @@ class ParallelEngine:
         chunks = self.sample_seeded_batches(target, stop_set, sized_seeds)
         return [chunk.to_paths() for chunk in chunks]
 
-    def _run_seeded(self, target, stop_set, sized_seeds, run_pooled, run_local) -> list:
-        stop = stop_set if isinstance(stop_set, frozenset) else frozenset(stop_set)
-        payloads = []
-        for size, seed in sized_seeds:
-            require_non_negative_int(size, "count")
-            payloads.append((target, stop, size, seed))
-        return self._dispatch(payloads, run_pooled, run_local)
-
     def sample_reduced(
         self,
         target: NodeId,
         stop_set: Iterable[NodeId],
         count: int,
-        rng: RandomSource,
+        rng: "RandomSource | DrawPlan",
         reducer,
         arg=None,
     ) -> list:
-        """Draw ``count`` traces and apply ``reducer`` to each chunk worker-side.
+        """Draw ``count`` traces and apply ``reducer`` to each walk worker-side.
 
-        ``reducer(paths, arg)`` must be a top-level (picklable) function; its
-        per-chunk results are returned in chunk order.  Chunk layout and
-        seeds are exactly those of :meth:`sample_paths`, so a reduction over
-        ``sample_reduced`` sees the same paths ``sample_paths`` would return
-        -- the reduction only moves *where* the paths are consumed, keeping
-        the inter-process traffic proportional to the reduced size rather
-        than to the raw path count.
+        ``reducer(batch, arg)`` must be a top-level (picklable) function
+        whose value on a walk is its values on the walk's chunks
+        concatenated; its per-walk results are returned in walk order.
+        Chunk layout and seeds are exactly those of :meth:`sample_paths`,
+        so a reduction over ``sample_reduced`` sees the same paths
+        ``sample_paths`` would return -- the reduction only moves *where*
+        the paths are consumed, keeping the inter-process traffic
+        proportional to the reduced size rather than to the raw path count.
         """
-        return self._run_chunks(target, stop_set, count, rng, reducer=reducer, arg=arg)
+        chunks = self._chunk_layout(count, rng)
+        return self._run_walks(target, stop_set, chunks, reducer=reducer, arg=arg)
 
-    def _run_chunks(self, target, stop_set, count, rng, reducer=None, arg=None) -> list:
+    def _chunk_layout(self, count, rng) -> list:
+        """The request's ``(size, seed)`` chunks, in order.
+
+        Each group of the request (see :func:`~repro.diffusion.engine.plan_groups`)
+        is cut into ``chunk_size`` pieces, and chunk ``i`` of a group gets
+        ``derive_seed(group_rng, "parallel-chunk-<i>")``.
+        """
         require_non_negative_int(count, "count")
-        generator = ensure_rng(rng)
+        layout = []
+        for size, group_rng in plan_groups(count, rng):
+            generator = ensure_rng(group_rng)
+            for index, offset in enumerate(range(0, size, self._chunk_size)):
+                seed = derive_seed(generator, f"parallel-chunk-{index}")
+                layout.append((min(self._chunk_size, size - offset), seed))
+        return layout
+
+    def _run_walks(self, target, stop_set, sized_seeds, reducer=None, arg=None) -> list:
+        """Draw seeded chunks in fused walks; one result per walk, in order."""
         stop = stop_set if isinstance(stop_set, frozenset) else frozenset(stop_set)
-        payloads = []
-        offset = 0
-        while offset < count:
-            size = min(self._chunk_size, count - offset)
-            label = f"parallel-chunk-{len(payloads)}"
-            payloads.append((target, stop, size, derive_seed(generator, label)))
-            offset += size
-        if not payloads:
-            return []
-        if reducer is not None:
-            payloads = [(reducer, *payload, arg) for payload in payloads]
-            run_pooled, run_local = _reduce_chunk, _reduce_chunk_on
+        walks = pack_walks(sized_seeds, self._walk_size)
+        if reducer is None:
+            payloads = [(target, stop, tuple(walk)) for walk in walks]
+            run_pooled, run_local = _sample_walk, _sample_walk_on
         else:
-            run_pooled, run_local = _sample_batch_chunk, _sample_batch_chunk_on
-        return self._dispatch(payloads, run_pooled, run_local)
+            payloads = [(reducer, target, stop, tuple(walk), arg) for walk in walks]
+            run_pooled, run_local = _reduce_walk, _reduce_walk_on
+        first_chunks = [0]
+        for walk in walks:
+            first_chunks.append(first_chunks[-1] + len(walk))
+        chunk_ids = [range(low, high) for low, high in zip(first_chunks, first_chunks[1:])]
+        return self._dispatch(payloads, run_pooled, run_local, chunk_ids)
 
     # ------------------------------------------------------------------ #
     # Dispatch and crash recovery
     # ------------------------------------------------------------------ #
 
-    def _dispatch(self, payloads, run_pooled, run_local) -> list:
-        """Run the chunk payloads, pooled where possible, serially otherwise.
+    def _dispatch(self, payloads, run_pooled, run_local, chunk_ids) -> list:
+        """Run the walk payloads, pooled where possible, serially otherwise.
 
-        The serial path (one worker, one chunk, no fork support, or a
-        degraded engine) runs the same payloads on the base engine; chunk
-        contents are pure functions of their seeds, so both paths return
-        the identical list.
+        The serial path (one worker, one walk, no fork support, or a
+        degraded or retired engine) runs the same payloads on the base
+        engine; walk contents are pure functions of their chunk seeds, so
+        both paths return the identical list.  ``chunk_ids[i]`` holds the
+        chunk indices of walk ``i``, which crash errors name.
         """
         if len(payloads) > 1 and self._forks():
             with self._lock:
-                if not self._degraded:  # another thread may have degraded it
-                    return self._dispatch_pooled(payloads, run_pooled, run_local)
+                if self._forks():  # another thread may have degraded or retired it
+                    return self._dispatch_pooled(payloads, run_pooled, run_local, chunk_ids)
         return [run_local(self._base, payload) for payload in payloads]
 
     def _worker_pids(self) -> frozenset:
@@ -700,7 +753,8 @@ class ParallelEngine:
             return pool.apply_async(run_pooled, (payload,))
         return pool.apply_async(_run_with_fault, (self._chunk_directives(), run_pooled, payload))
 
-    def _crash_error(self, lost: list, attempts: int) -> WorkerCrashError:
+    def _crash_error(self, lost: list, attempts: int, chunk_ids) -> WorkerCrashError:
+        lost = [chunk for index in lost for chunk in chunk_ids[index]]
         return WorkerCrashError(
             f"worker pool crashed with chunks {lost} in flight "
             f"(after {attempts} dispatch attempt(s), "
@@ -708,19 +762,20 @@ class ParallelEngine:
             chunks=tuple(lost),
         )
 
-    def _dispatch_pooled(self, payloads, run_pooled, run_local) -> list:
-        """Fan the payloads over the pool, recovering from worker crashes.
+    def _dispatch_pooled(self, payloads, run_pooled, run_local, chunk_ids) -> list:
+        """Fan the walk payloads over the pool, recovering from worker crashes.
 
-        Every chunk is dispatched as its own future and polled with a
+        Every walk is dispatched as its own future and polled with a
         timeout; when a worker death is detected the damaged pool is torn
         down (which sweeps shared-memory orphans), a fresh pool is forked,
-        and only the unfinished chunks are re-dispatched with their
-        original payloads -- each chunk is a pure function of its seed, so
-        the recovered results are byte-identical to a fault-free run.
-        Completed shared-memory chunks are adopted as they arrive, which
-        keeps their segments out of the orphan sweep.  Chunks still lost
-        after ``max_chunk_retries`` rounds escalate per
-        ``on_worker_failure`` (typed error, or permanent serial degrade).
+        and only the unfinished walks are re-dispatched with their
+        original payloads -- each walk is a pure function of its chunk
+        seeds, so the recovered results are byte-identical to a fault-free
+        run.  Completed shared-memory walks are adopted as they arrive,
+        which keeps their segments out of the orphan sweep.  Walks still
+        lost after ``max_chunk_retries`` rounds escalate per
+        ``on_worker_failure`` (typed error naming the lost chunks, or
+        permanent serial degrade).
         """
         results: list = [None] * len(payloads)
         retries = [0] * len(payloads)
@@ -753,7 +808,9 @@ class ParallelEngine:
             self._worker_crashes += 1
             self.close()  # terminate the damaged pool; sweep shm orphans
             if self._on_worker_failure == "raise":
-                raise self._crash_error(lost, attempts=max(retries[i] for i in lost) + 1)
+                raise self._crash_error(
+                    lost, max(retries[i] for i in lost) + 1, chunk_ids
+                )
             for index in lost:
                 retries[index] += 1
             exhausted = max(retries[index] for index in lost) > self._max_chunk_retries
@@ -763,7 +820,7 @@ class ParallelEngine:
                     for index in lost:
                         results[index] = run_local(self._base, payloads[index])
                     return results
-                raise self._crash_error(lost, attempts=max(retries[i] for i in lost))
+                raise self._crash_error(lost, max(retries[i] for i in lost), chunk_ids)
             pending = lost
         return results
 
@@ -834,18 +891,18 @@ def shared_engine(
             if snapshot is compiled and rest == [engine, resolved]:
                 return cached
             _SHARED = None
-            cached.close()
+            cached.retire()
         cached = ParallelEngine(resolve_engine(compiled, engine), workers=resolved)
         _SHARED = ((compiled, engine, resolved), cached)
         return cached
 
 
 def close_shared_engine() -> None:
-    """Close and forget the engine :func:`shared_engine` caches, if any."""
+    """Retire and forget the engine :func:`shared_engine` caches, if any."""
     global _SHARED
     with _SHARED_LOCK:
         if _SHARED is not None:
-            _SHARED[1].close()
+            _SHARED[1].retire()
             _SHARED = None
 
 

@@ -117,7 +117,7 @@ class TestStoppingRuleBatched:
         )
         batched_stream = bernoulli_stream(99)
         batched = stopping_rule_estimate_batched(
-            lambda size: [next(batched_stream) for _ in range(size)],
+            lambda sizes: [next(batched_stream) for _ in range(sum(sizes))],
             epsilon=0.15,
             delta=0.05,
         )
@@ -127,9 +127,9 @@ class TestStoppingRuleBatched:
     def test_max_samples_consumed_exactly(self):
         drawn = {"count": 0}
 
-        def zeros(size):
-            drawn["count"] += size
-            return [0.0] * size
+        def zeros(sizes):
+            drawn["count"] += sum(sizes)
+            return [0.0] * sum(sizes)
 
         with pytest.raises(EstimationError):
             stopping_rule_estimate_batched(zeros, epsilon=0.2, delta=0.1, max_samples=500)
@@ -138,7 +138,7 @@ class TestStoppingRuleBatched:
     def test_out_of_range_sample_rejected(self):
         with pytest.raises(EstimationError):
             stopping_rule_estimate_batched(
-                lambda size: [2.0] * size, epsilon=0.2, delta=0.1
+                lambda sizes: [2.0] * sum(sizes), epsilon=0.2, delta=0.1
             )
 
 
@@ -155,13 +155,13 @@ class TestWarmStart:
     def test_bit_identical_to_cold_run_over_same_stream(self, warm_size):
         cold_stream = self._stream(7)
         cold = stopping_rule_estimate_batched(
-            lambda size: [next(cold_stream) for _ in range(size)],
+            lambda sizes: [next(cold_stream) for _ in range(sum(sizes))],
             epsilon=0.2, delta=0.05,
         )
         warm_source = self._stream(7)
         warm = [next(warm_source) for _ in range(warm_size)]
         result = stopping_rule_estimate_batched(
-            lambda size: [next(warm_source) for _ in range(size)],
+            lambda sizes: [next(warm_source) for _ in range(sum(sizes))],
             epsilon=0.2, delta=0.05, warm_start=warm,
         )
         assert result == cold
@@ -182,7 +182,7 @@ class TestWarmStart:
         batched_stream = uniform_stream()
         warm = [next(batched_stream) for _ in range(warm_size)]
         batched = stopping_rule_estimate_batched(
-            lambda size: [next(batched_stream) for _ in range(size)],
+            lambda sizes: [next(batched_stream) for _ in range(sum(sizes))],
             epsilon=0.1, delta=0.05, warm_start=warm,
         )
         assert 500 < sequential.num_samples < 5000  # the halt is warm for 5000 only
@@ -199,7 +199,7 @@ class TestWarmStart:
         warm = [next(batched_stream) for _ in range(warm_size)]
         with pytest.raises(StoppingRuleExhausted) as batched_cap:
             stopping_rule_estimate_batched(
-                lambda size: [next(batched_stream) for _ in range(size)],
+                lambda sizes: [next(batched_stream) for _ in range(sum(sizes))],
                 epsilon=0.1, delta=0.05, max_samples=1000, warm_start=warm,
             )
         assert batched_cap.value.num_samples == sequential_cap.value.num_samples == 1000
@@ -208,13 +208,13 @@ class TestWarmStart:
     def test_samples_after_halt_not_inspected(self):
         sequential = stopping_rule_estimate(lambda: 1.0, epsilon=0.5, delta=0.2)
         result = stopping_rule_estimate_batched(
-            lambda size: [1.0] * size, epsilon=0.5, delta=0.2,
+            lambda sizes: [1.0] * sum(sizes), epsilon=0.5, delta=0.2,
             warm_start=bytes([1]) * 100 + bytes([2]),
         )
         assert result == sequential
 
     def test_stops_inside_warm_prefix_without_fresh_draws(self):
-        def must_not_draw(size):
+        def must_not_draw(sizes):
             raise AssertionError("fresh draws requested despite sufficient warm prefix")
 
         result = stopping_rule_estimate_batched(
@@ -225,14 +225,14 @@ class TestWarmStart:
     def test_warm_prefix_respects_max_samples(self):
         with pytest.raises(EstimationError):
             stopping_rule_estimate_batched(
-                lambda size: [0.0] * size, epsilon=0.2, delta=0.1,
+                lambda sizes: [0.0] * sum(sizes), epsilon=0.2, delta=0.1,
                 max_samples=50, warm_start=[0.0] * 500,
             )
 
     def test_warm_values_validated(self):
         with pytest.raises(EstimationError):
             stopping_rule_estimate_batched(
-                lambda size: [1.0] * size, epsilon=0.2, delta=0.1,
+                lambda sizes: [1.0] * sum(sizes), epsilon=0.2, delta=0.1,
                 warm_start=[2.0],
             )
 
@@ -241,11 +241,11 @@ class TestWarmStart:
         # the same way every estimator entry point rejects bad num_samples.
         with pytest.raises(ValueError):
             stopping_rule_estimate_batched(
-                lambda size: [1.0] * size, epsilon=0.2, delta=0.1, max_samples=0
+                lambda sizes: [1.0] * sum(sizes), epsilon=0.2, delta=0.1, max_samples=0
             )
         with pytest.raises(TypeError):
             stopping_rule_estimate_batched(
-                lambda size: [1.0] * size, epsilon=0.2, delta=0.1, max_samples=2.5
+                lambda sizes: [1.0] * sum(sizes), epsilon=0.2, delta=0.1, max_samples=2.5
             )
         with pytest.raises(TypeError):
             stopping_rule_estimate(lambda: 1.0, epsilon=0.2, delta=0.1, max_samples=2.5)
@@ -262,15 +262,15 @@ class TestIndicatorByteBatches:
     def test_bytes_batches_match_float_batches(self, true_mean):
         stream = self._indicator_stream(true_mean, seed=13, length=400_000)
 
-        def bytes_sampler(size, state={"i": 0}):
+        def bytes_sampler(sizes, state={"i": 0}):
             start = state["i"]
-            state["i"] = start + size
-            return stream[start : start + size]
+            state["i"] = start + sum(sizes)
+            return stream[start : start + sum(sizes)]
 
-        def float_sampler(size, state={"i": 0}):
+        def float_sampler(sizes, state={"i": 0}):
             start = state["i"]
-            state["i"] = start + size
-            return [float(v) for v in stream[start : start + size]]
+            state["i"] = start + sum(sizes)
+            return [float(v) for v in stream[start : start + sum(sizes)]]
 
         fast = stopping_rule_estimate_batched(bytes_sampler, epsilon=0.2, delta=0.05)
         slow = stopping_rule_estimate_batched(float_sampler, epsilon=0.2, delta=0.05)
@@ -279,7 +279,7 @@ class TestIndicatorByteBatches:
     def test_crossing_batch_halts_at_exact_sample(self):
         # All-ones stream with one huge batch: the rule must stop at the
         # same sample index as a one-at-a-time run, not swallow the batch.
-        def must_not_draw(size):
+        def must_not_draw(sizes):
             raise AssertionError("fresh draws requested despite a crossing batch")
 
         result = stopping_rule_estimate_batched(
@@ -291,22 +291,22 @@ class TestIndicatorByteBatches:
     def test_invalid_byte_value_rejected(self):
         with pytest.raises(EstimationError):
             stopping_rule_estimate_batched(
-                lambda size: bytes([1, 2]) * size, epsilon=0.5, delta=0.1
+                lambda sizes: bytes([1, 2]) * sum(sizes), epsilon=0.5, delta=0.1
             )
 
     def test_bytes_warm_start_bit_identical(self):
         stream = self._indicator_stream(0.3, seed=7, length=200_000)
         warm = stream[:1000]
 
-        def tail_sampler(size, state={"i": 1000}):
+        def tail_sampler(sizes, state={"i": 1000}):
             start = state["i"]
-            state["i"] = start + size
-            return stream[start : start + size]
+            state["i"] = start + sum(sizes)
+            return stream[start : start + sum(sizes)]
 
-        def cold_sampler(size, state={"i": 0}):
+        def cold_sampler(sizes, state={"i": 0}):
             start = state["i"]
-            state["i"] = start + size
-            return stream[start : start + size]
+            state["i"] = start + sum(sizes)
+            return stream[start : start + sum(sizes)]
 
         warmed = stopping_rule_estimate_batched(
             tail_sampler, epsilon=0.2, delta=0.05, warm_start=warm

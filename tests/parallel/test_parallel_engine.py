@@ -281,7 +281,7 @@ class TestStart:
             max_chunk_retries=0, on_worker_failure="serial",
             fault_plan=FaultPlan(kill_rate=1.0),
         ) as engine:
-            engine.sample_paths(target, graph.neighbor_set(source), 64, rng=3)
+            engine.sample_paths(target, graph.neighbor_set(source), 128, rng=3)
             assert engine.degraded
             engine.close()
             engine.start()
@@ -294,7 +294,7 @@ class TestStart:
         stop = graph.neighbor_set(source)
         expected = ParallelEngine(
             create_engine(graph, "python"), workers=1, chunk_size=16
-        ).sample_paths(target, stop, 64, rng=3)
+        ).sample_paths(target, stop, 128, rng=3)
         engine = ParallelEngine(
             create_engine(graph, "python"), workers=2, chunk_size=16,
             fault_plan=FaultPlan(slow_rate=1.0, slow_seconds=0.1),
@@ -302,7 +302,7 @@ class TestStart:
         engine.start()
         drawn: dict = {}
         thread = threading.Thread(
-            target=lambda: drawn.setdefault("paths", engine.sample_paths(target, stop, 64, rng=3))
+            target=lambda: drawn.setdefault("paths", engine.sample_paths(target, stop, 128, rng=3))
         )
         thread.start()
         while engine._lock.acquire(blocking=False):  # until the dispatch holds it

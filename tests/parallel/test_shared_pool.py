@@ -30,9 +30,9 @@ pytestmark = pytest.mark.skipif(not fork_available(), reason="needs the fork sta
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: Fixed l above one 2048-path chunk, so every run dispatches to the pool.
+#: Fixed l above one 8192-path walk, so every run dispatches to the pool.
 CONFIG = RAFConfig(
-    engine="numpy", workers=2, sample_policy="fixed", fixed_realizations=5000,
+    engine="numpy", workers=2, sample_policy="fixed", fixed_realizations=10_000,
     pmax_epsilon=0.2,
 )
 

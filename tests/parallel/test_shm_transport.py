@@ -200,7 +200,7 @@ class TestOrphanSweep:
             create_engine(graph, "numpy"), workers=2, chunk_size=32, transport="shm"
         )
         try:
-            engine.sample_path_batch(target, graph.neighbor_set(source), 128, rng=5)
+            engine.sample_path_batch(target, graph.neighbor_set(source), 256, rng=5)
             # Simulate the leftover of a worker that died between publish
             # and delivery: on disk, never adopted.
             stranded = shm_transport._shared_memory.SharedMemory(

@@ -335,7 +335,7 @@ class TestEngineOwnership:
         source, target = hot_pair
         service = QueryService(service_graph, seed=POOL_SEED, workers=2)
         engine = service.pool.engine
-        service.submit(EvaluateQuery(source, target, num_samples=2048))  # two pool chunks
+        service.submit(EvaluateQuery(source, target, num_samples=2 * engine.walk_size))
         assert len(engine._worker_pids()) == 2
         service.close()
         assert engine._worker_pids() == frozenset()
@@ -346,7 +346,7 @@ class TestEngineOwnership:
         try:
             with QueryService(service_graph, engine=engine, seed=POOL_SEED) as service:
                 assert service.pool.engine is engine
-                service.submit(EvaluateQuery(source, target, num_samples=2048))
+                service.submit(EvaluateQuery(source, target, num_samples=2 * engine.walk_size))
                 forked = engine._worker_pids()
             assert len(forked) == 2 and engine._worker_pids() == forked
         finally:

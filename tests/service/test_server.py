@@ -623,12 +623,12 @@ class TestDegradedMode:
                 service = server.tenant_service("default")
                 engine = service.pool.engine
                 assert service.degraded is False
-                # Exhaust the retry budget for real: every dispatched chunk
+                # Exhaust the retry budget for real: every dispatched walk
                 # kills its worker until the engine gives up and goes serial.
                 engine.inject_faults(FaultPlan(kill_rate=1.0))
                 stop = service_graph.neighbor_set(source)
                 await asyncio.to_thread(
-                    engine.sample_paths, target, stop, 2 * engine.chunk_size
+                    engine.sample_paths, target, stop, 2 * engine.walk_size
                 )
                 engine.inject_faults(None)
                 _, after = await _http(server, "GET", "/healthz")
@@ -656,7 +656,7 @@ class TestDegradedMode:
                 engine.inject_faults(FaultPlan(kill_rate=1.0))
                 stop = service_graph.neighbor_set(source)
                 await asyncio.to_thread(
-                    engine.sample_paths, target, stop, 2 * engine.chunk_size
+                    engine.sample_paths, target, stop, 2 * engine.walk_size
                 )
                 engine.inject_faults(None)
                 untenanted = server.health()
