@@ -14,7 +14,10 @@ Determinism contract (see DESIGN.md §3):
 
 * A request for ``count`` paths is split into fixed-size chunks of
   ``chunk_size`` paths.  The chunk layout depends only on ``count`` and
-  ``chunk_size`` -- never on the worker count.
+  ``chunk_size`` -- never on the worker count.  A request whose ``rng`` is
+  a :class:`~repro.diffusion.engine.DrawPlan` (the stopping rule's several
+  batches) chunks each group as a lone request with that group's count
+  and rng would.
 * Chunk ``i`` draws from its own generator, rebuilt from an integer seed
   derived from the caller's ``rng`` via SHA-256 label mixing
   (:func:`repro.utils.rng.derive_seed` with label ``"parallel-chunk-<i>"``).
@@ -25,12 +28,18 @@ Determinism contract (see DESIGN.md §3):
   which the stopping rule halts -- is bit-stable across runs and identical
   for ``workers=1`` and ``workers=N``.
 
-Execution falls back to an in-process loop (same chunking, same seeds, same
-results) when ``workers <= 1``, when the request is a single chunk, or when
-the platform lacks the ``fork`` start method (workers inherit the compiled
+Execution (DESIGN.md §3, "walks").  A lockstep walk costs about the same
+per round whatever its walker count, so consecutive chunks are fused into
+walks of at most :attr:`ParallelEngine.walk_size` paths -- 8192, the base
+engine's walk bound, at the default chunk size -- and each walk is one
+kernel call over its chunks' seeded groups.  A request of at most one
+walk runs as that walk in the parent; a larger one goes to the pool as one
+task per walk.  Execution also stays in-process (same walks, same results)
+when ``workers <= 1``, when the engine is degraded or retired, or when the
+platform lacks the ``fork`` start method (workers inherit the compiled
 graph by forking; shipping it by pickle to spawned processes would cost more
 than it saves).  The pool is forked by :meth:`ParallelEngine.start` -- or,
-failing that, on first parallel dispatch -- reused across calls, and torn
+failing that, on first pooled dispatch -- reused across calls, and torn
 down when the engine is closed or collected.  One engine may serve several
 threads: dispatches and pool teardown are serialized on the engine's lock.
 A pool belongs to the process that forked it: in a forked child (say, a
@@ -42,11 +51,11 @@ Who owns the engine decides when its pool dies.  A caller that builds one
 one-shot entry points (``run_raf``, ``estimate_pmax``, the evaluation and
 screening helpers) get theirs from :func:`shared_engine` instead: one cached
 engine per process for the current (snapshot, engine, worker count), reused
-by every call with that key, replaced -- the old pool closed first -- when
+by every call with that key, retired -- its pool closed for good -- when
 the key changes, and torn down at exit.
 
-Transport (DESIGN.md §7): every chunk is a columnar
-:class:`~repro.diffusion.path_batch.PathBatch`; finished chunks travel back
+Transport (DESIGN.md §7): every walk is a columnar
+:class:`~repro.diffusion.path_batch.PathBatch`; finished walks travel back
 from the workers either pickled through the result pipe
 (``transport="pickle"``) or as zero-copy shared-memory segments
 (``transport="shm"``, the default where available): the worker
@@ -54,7 +63,7 @@ publishes the columns once into a named segment and ships only a tiny
 descriptor; the parent adopts views over the segment with a ref-counted,
 unlink-on-release lifecycle (:mod:`repro.parallel.shm`).  The transport
 never changes results -- the adopted columns are byte-for-byte the
-pickled ones -- and degrades per-chunk to pickling whenever a segment
+pickled ones -- and degrades per walk to pickling whenever a segment
 cannot be created.
 """
 
@@ -116,24 +125,25 @@ WORKERS_AUTO = "auto"
 #: typical stopping-rule batch still spreads over several workers.
 DEFAULT_CHUNK_SIZE = 2048
 
-#: Default chunks per fused walk: a walk holds at most
-#: ``min(WALK_SIZE, WALK_CHUNKS * chunk_size)`` paths, which is the base
-#: engine's walk bound (8192) at the default chunk size.
+#: Chunks per fused walk: a walk holds at most
+#: ``min(WALK_SIZE, WALK_CHUNKS * chunk_size)`` paths -- the base engine's
+#: walk bound (8192) at the default chunk size, and as many chunks per walk
+#: at a smaller one.
 WALK_CHUNKS = WALK_SIZE // DEFAULT_CHUNK_SIZE
 
-#: How many respawn-and-retry rounds a lost chunk gets before the engine
+#: How many respawn-and-retry rounds a lost walk gets before the engine
 #: gives up (raises :class:`~repro.exceptions.WorkerCrashError`) or degrades
 #: to serial execution, per ``on_worker_failure``.
 DEFAULT_CHUNK_RETRIES = 2
 
-#: What a dispatch does when a worker process dies mid-chunk: ``"retry"``
-#: re-derives the lost chunks on a respawned pool up to the retry budget and
+#: What a dispatch does when a worker process dies mid-walk: ``"retry"``
+#: re-derives the lost walks on a respawned pool up to the retry budget and
 #: then raises; ``"serial"`` retries the same way but degrades to in-process
 #: execution (slower, never wrong) when the budget runs out; ``"raise"``
 #: fails fast on the first crash.
 FAILURE_MODES = ("retry", "serial", "raise")
 
-#: How long (seconds) a pending chunk future is polled before the worker
+#: How long (seconds) a pending walk future is polled before the worker
 #: processes are re-checked for deaths.  Latency-only: detection happens
 #: within one interval, results never depend on it.
 _CRASH_POLL_SECONDS = 0.05
@@ -252,14 +262,14 @@ def _reduce_walk(payload) -> object:
 
 
 def _run_with_fault(directives, run_pooled, payload):
-    """Apply a chunk's injected-fault directives, then run it normally.
+    """Apply a walk's injected-fault directives, then run it normally.
 
     The parent decides the directives (from its :class:`FaultPlan`) when
-    the chunk is dispatched; the worker only executes them: ``"slow"``
-    sleeps, ``"shm-fail"`` forces this chunk's shared-memory publish to
+    the walk is dispatched; the worker only executes them: ``"slow"``
+    sleeps, ``"shm-fail"`` forces this walk's shared-memory publish to
     decline (pickle fallback), ``"kill"`` SIGKILLs the worker process --
     the real crash the recovery path must survive, not a simulation of
-    one.  Directives never touch the chunk's seed or contents.
+    one.  Directives never touch the walk's seeds or contents.
     """
     sleep_seconds = 0.0
     kill = False
@@ -282,16 +292,16 @@ def _run_with_fault(directives, run_pooled, payload):
 # every path; must be top-level functions so they pickle by reference.  Each
 # reduces a walk's columns directly, building no per-path objects, and a
 # walk's reduction is its chunks' reductions concatenated.
-def _type1_indicator_bytes(chunk: PathBatch, _arg) -> bytes:
-    return chunk.type1_bytes()
+def _type1_indicator_bytes(batch: PathBatch, _arg) -> bytes:
+    return batch.type1_bytes()
 
 
-def _covered_indicator_bytes(chunk: PathBatch, invited: frozenset) -> bytes:
-    return chunk.covered_bytes(invited)
+def _covered_indicator_bytes(batch: PathBatch, invited: frozenset) -> bytes:
+    return batch.covered_bytes(invited)
 
 
-def _type1_paths_only(chunk: PathBatch, _arg) -> PathBatch:
-    return chunk.select_type1()  # ships as packed columns, type-1 only
+def _type1_paths_only(batch: PathBatch, _arg) -> PathBatch:
+    return batch.select_type1()  # ships as packed columns, type-1 only
 
 
 def _shutdown_pool(pool) -> None:
@@ -435,7 +445,7 @@ class ParallelEngine:
     def inject_faults(self, fault_plan: "FaultPlan | None") -> None:
         """Attach (or clear) a :class:`~repro.faults.FaultPlan`.
 
-        While attached, each dispatched chunk consults the plan for
+        While attached, each dispatched walk consults the plan for
         worker-kill / shm-publish-failure / slow-chunk directives.  Faults
         alter scheduling and cost, never chunk seeds or contents: a faulted
         run that completes is byte-identical to a fault-free one.
@@ -598,7 +608,7 @@ class ParallelEngine:
         groups as a lone call with that group's count and rng would.
         """
         compiled = self.compiled
-        walks = self._run_walks(target, stop_set, self._chunk_layout(count, rng))
+        walks = self._run_walks(target, stop_set, self._walk_layout(count, rng))
         return PathBatch.concat([walk.attach(compiled) for walk in walks], compiled)
 
     def sample_seeded_batches(
@@ -622,12 +632,12 @@ class ParallelEngine:
         compiled = self.compiled
         for size, _ in sized_seeds:
             require_non_negative_int(size, "count")
-        walks = self._run_walks(target, stop_set, sized_seeds)
-        sizes = iter(size for size, _ in sized_seeds)
+        layout = pack_walks(sized_seeds, self._walk_size)
+        walks = self._run_walks(target, stop_set, layout)
         return [
             chunk
-            for walk, chunks in zip(walks, pack_walks(sized_seeds, self._walk_size))
-            for chunk in walk.attach(compiled).split([next(sizes) for _ in chunks])
+            for walk, chunks in zip(walks, layout)
+            for chunk in walk.attach(compiled).split([size for size, _ in chunks])
         ]
 
     def sample_seeded_chunks(
@@ -660,29 +670,28 @@ class ParallelEngine:
         the paths are consumed, keeping the inter-process traffic
         proportional to the reduced size rather than to the raw path count.
         """
-        chunks = self._chunk_layout(count, rng)
-        return self._run_walks(target, stop_set, chunks, reducer=reducer, arg=arg)
+        layout = self._walk_layout(count, rng)
+        return self._run_walks(target, stop_set, layout, reducer=reducer, arg=arg)
 
-    def _chunk_layout(self, count, rng) -> list:
-        """The request's ``(size, seed)`` chunks, in order.
+    def _walk_layout(self, count, rng) -> list:
+        """The request's ``(size, seed)`` chunks, packed into walks in order.
 
         Each group of the request (see :func:`~repro.diffusion.engine.plan_groups`)
         is cut into ``chunk_size`` pieces, and chunk ``i`` of a group gets
         ``derive_seed(group_rng, "parallel-chunk-<i>")``.
         """
         require_non_negative_int(count, "count")
-        layout = []
+        chunks = []
         for size, group_rng in plan_groups(count, rng):
             generator = ensure_rng(group_rng)
             for index, offset in enumerate(range(0, size, self._chunk_size)):
                 seed = derive_seed(generator, f"parallel-chunk-{index}")
-                layout.append((min(self._chunk_size, size - offset), seed))
-        return layout
+                chunks.append((min(self._chunk_size, size - offset), seed))
+        return pack_walks(chunks, self._walk_size)
 
-    def _run_walks(self, target, stop_set, sized_seeds, reducer=None, arg=None) -> list:
-        """Draw seeded chunks in fused walks; one result per walk, in order."""
+    def _run_walks(self, target, stop_set, walks, reducer=None, arg=None) -> list:
+        """Draw each walk of ``(size, seed)`` chunks fused; one result per walk."""
         stop = stop_set if isinstance(stop_set, frozenset) else frozenset(stop_set)
-        walks = pack_walks(sized_seeds, self._walk_size)
         if reducer is None:
             payloads = [(target, stop, tuple(walk)) for walk in walks]
             run_pooled, run_local = _sample_walk, _sample_walk_on
@@ -735,7 +744,7 @@ class ParallelEngine:
         return self._worker_pids() != initial_pids
 
     def _chunk_directives(self) -> tuple:
-        """The attached fault plan's directives for the next dispatched chunk."""
+        """The attached fault plan's directives for the next dispatched walk."""
         plan = self._fault_plan
         directives: list = []
         if plan is None:
@@ -803,7 +812,7 @@ class ParallelEngine:
                     del inflight[index]
             if not inflight:
                 return results
-            # Crash path: the chunks still in flight are (possibly) lost.
+            # Crash path: the walks still in flight are (possibly) lost.
             lost = sorted(inflight)
             self._worker_crashes += 1
             self.close()  # terminate the damaged pool; sweep shm orphans
@@ -872,8 +881,10 @@ def shared_engine(
     one is passed.  Calls with the same key share one warm worker pool
     instead of forking and tearing one down per call.  The cache has one
     slot: a call with a different key (a mutated graph's new snapshot,
-    another backend or worker count) first closes the engine it holds, so a
-    process never keeps more than one cached pool.  Callers leave the
+    another backend or worker count) first retires the engine it holds
+    (:meth:`ParallelEngine.retire`), so a process never keeps more than one
+    cached pool, and a run still sampling from a replaced engine finishes
+    in-process instead of forking a pool of its own.  Callers leave the
     returned engine open; :func:`close_shared_engine` releases it early, and
     it is torn down at exit otherwise.  Results are those of a fresh
     wrapper: chunk contents are pure functions of their seeds.
@@ -890,8 +901,8 @@ def shared_engine(
             (snapshot, *rest), cached = _SHARED
             if snapshot is compiled and rest == [engine, resolved]:
                 return cached
+            cached.retire()  # before the slot lets go: it never forks uncached
             _SHARED = None
-            cached.retire()
         cached = ParallelEngine(resolve_engine(compiled, engine), workers=resolved)
         _SHARED = ((compiled, engine, resolved), cached)
         return cached

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.estimation.stopping_rule import (
     StoppingRuleExhausted,
@@ -313,3 +317,101 @@ class TestIndicatorByteBatches:
         )
         cold = stopping_rule_estimate_batched(cold_sampler, epsilon=0.2, delta=0.05)
         assert warmed == cold
+
+
+def _batch_at_a_time_schedule(room):
+    """The sizes the batch-at-a-time rule asks for, one call each: 64, 128,
+    ... up to 65536, clipped so they never pass ``room`` samples."""
+    batch, drawn = 64, 0
+    while room is None or drawn < room:
+        size = batch if room is None else min(batch, room - drawn)
+        yield size
+        drawn += size
+        batch = min(2 * batch, 65536)
+
+
+class TestFusedSchedule:
+    """Each request holds every batch the rule is certain to draw (plus at
+    most one the running mean predicts); the answers are those of the
+    batch-at-a-time rule, sample for sample."""
+
+    @given(
+        mean=st.floats(min_value=0.01, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**31),
+        epsilon=st.sampled_from([0.2, 0.3, 0.5]),
+        delta=st.sampled_from([0.05, 1e-5]),
+        max_samples=st.one_of(st.none(), st.integers(min_value=1, max_value=6000)),
+        warm_size=st.integers(min_value=0, max_value=3000),
+    )
+    @settings(
+        max_examples=40, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_equals_batch_at_a_time_rule(self, mean, seed, epsilon, delta, max_samples, warm_size):
+        stream = (np.random.default_rng(seed).random(2**19) < mean).astype(np.uint8).tobytes()
+        requests: list = []
+        cursor = {"at": warm_size}
+
+        def sampler(sizes):
+            requests.append(sizes)
+            start = cursor["at"]
+            cursor["at"] = start + sum(sizes)
+            assert cursor["at"] <= len(stream)
+            return stream[start : cursor["at"]]
+
+        def outcome(run):
+            try:
+                result = run()
+            except StoppingRuleExhausted as exhausted:
+                return ("exhausted", exhausted.num_samples, exhausted.total)
+            return ("halted", result.num_samples, result.estimate)
+
+        fused = outcome(lambda: stopping_rule_estimate_batched(
+            sampler, epsilon, delta, max_samples=max_samples, warm_start=stream[:warm_size]
+        ))
+        samples = iter(stream)
+        reference = outcome(lambda: stopping_rule_estimate(
+            lambda: next(samples), epsilon, delta, max_samples=max_samples
+        ))
+        assert fused == reference
+
+        # The requests are the batch-at-a-time schedule, cut into requests,
+        # and end at most one batch past the batch the rule halted in.
+        warm_used = warm_size if max_samples is None else min(warm_size, max_samples)
+        fresh_used = reference[1] - warm_used
+        drawn = [size for sizes in requests for size in sizes]
+        room = None if max_samples is None else max_samples - warm_used
+        schedule = _batch_at_a_time_schedule(room)
+        assert drawn == [next(schedule) for _ in drawn]
+        if fresh_used <= 0:
+            assert drawn == []  # halted inside the warm prefix
+            return
+        ends = np.cumsum(drawn)
+        halting_batch = int(np.searchsorted(ends, fresh_used))
+        assert halting_batch < len(drawn)
+        assert len(drawn) <= halting_batch + 2
+
+    def test_first_request_holds_every_certain_batch(self):
+        # Υ ≈ 1053 at ε = 0.2, δ = 1e-5: 64 + ... + 512 = 960 samples cannot
+        # reach it, so the 1024 batch is certain too, and nothing after it.
+        requests: list = []
+
+        def ones(sizes):
+            requests.append(sizes)
+            return bytes([1]) * sum(sizes)
+
+        result = stopping_rule_estimate_batched(ones, epsilon=0.2, delta=1e-5)
+        assert requests == [(64, 128, 256, 512, 1024)]
+        assert result.num_samples == math.ceil(stopping_rule_threshold(0.2, 1e-5))
+
+    def test_running_mean_adds_one_predicted_batch(self):
+        # A mean of 1/4 after the first 1984 samples predicts the certain
+        # 2048 batch falls short, so the second request adds the 4096 batch.
+        requests: list = []
+
+        def quarter(sizes):
+            requests.append(sizes)
+            return bytes([1, 0, 0, 0]) * (sum(sizes) // 4)
+
+        stopping_rule_estimate_batched(quarter, epsilon=0.2, delta=1e-5)
+        assert requests == [(64, 128, 256, 512, 1024), (2048, 4096)]

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.diffusion.engine import create_engine
+from repro.diffusion.engine import DrawPlan, create_engine
 from repro.exceptions import EngineError, WorkerCrashError
 from repro.faults import SITE_WORKER_KILL, FaultPlan
 from repro.graph.generators import barabasi_albert_graph
@@ -119,6 +119,44 @@ class TestKillRecovery:
                 _draw(engine, graph, pair)
             assert engine.worker_crashes == 1
         assert _own_segments() == []
+
+
+class TestFusedWalkRecovery:
+    """A pooled task is one fused walk of several chunks: losing it loses
+    (and retries) all of them, and errors name every chunk it held."""
+
+    @staticmethod
+    def _plan_draw(engine, graph, pair):
+        _, target = pair
+        generator = random.Random(7)
+        plan = DrawPlan(tuple((size, generator) for size in (30, 60, 120, 240)))
+        return engine.sample_path_batch(
+            target, graph.neighbor_set(pair[0]), plan.count, rng=plan
+        ).to_paths()
+
+    @pytest.mark.parametrize("engine_name", ["python", "numpy"])
+    @pytest.mark.parametrize("kill_at", [{0}, {1}, {0, 2}])
+    def test_killed_walk_is_retried_byte_identically(self, graph, pair, engine_name, kill_at):
+        with ParallelEngine(create_engine(graph, engine_name), 2, CHUNK) as clean:
+            expected = self._plan_draw(clean, graph, pair)
+        plan = FaultPlan(kill_at=kill_at)
+        with ParallelEngine(
+            create_engine(graph, engine_name), 2, CHUNK, fault_plan=plan
+        ) as faulted:
+            assert self._plan_draw(faulted, graph, pair) == expected
+            assert faulted.worker_crashes >= 1
+        assert _own_segments() == []
+
+    def test_crash_error_names_the_lost_walks_chunks(self, graph, pair):
+        plan = FaultPlan(kill_at={0})
+        with ParallelEngine(
+            create_engine(graph, "python"), 2, CHUNK,
+            on_worker_failure="raise", fault_plan=plan,
+        ) as engine:
+            assert engine.walk_size == 4 * CHUNK
+            with pytest.raises(WorkerCrashError) as excinfo:
+                _draw(engine, graph, pair)  # 8 chunks: two walks of four
+        assert excinfo.value.chunks in ((0, 1, 2, 3), tuple(range(8)))
 
 
 class TestSerialDegrade:

@@ -16,7 +16,8 @@ import pytest
 
 from repro.core.problem import ActiveFriendingProblem
 from repro.core.raf import RAFConfig, estimate_pmax, run_raf, run_sampling_framework
-from repro.diffusion.engine import ENGINE_NAMES, create_engine
+from repro.diffusion.engine import ENGINE_NAMES, DrawPlan, create_engine
+from repro.diffusion.path_batch import PathBatch
 from repro.diffusion.friending_process import estimate_acceptance_probability
 from repro.exceptions import EngineError
 from repro.experiments.pair_selection import screen_pmax
@@ -28,6 +29,7 @@ from repro.parallel import (
     fork_available,
     maybe_parallel,
     resolve_worker_count,
+    sample_type1_indicators,
 )
 
 ENGINES = [name for name in ENGINE_NAMES if name != "auto"]
@@ -335,3 +337,58 @@ class TestStaleSnapshotPoolRefork:
             assert parallel == serial
         finally:
             engine.close()
+
+
+def _columns(batch: PathBatch) -> tuple:
+    return tuple(
+        column.tolist()
+        for column in (batch.offsets, batch.node_indices, batch.is_type1, batch.anchor_indices)
+    )
+
+
+@pytest.mark.parametrize("backend", ENGINES)
+class TestFusedWalks:
+    """Chunks share walks of at most ``walk_size`` paths: one in the parent
+    for a request of at most one walk, one pool task per walk otherwise --
+    and the same paths for every worker count either way."""
+
+    CHUNK = 16  # walk_size = 4 chunks = 64 paths
+
+    def _engines(self, graph, backend):
+        base = create_engine(graph, backend)
+        return [ParallelEngine(base, workers=n, chunk_size=self.CHUNK) for n in (1, 2)]
+
+    @pytest.mark.parametrize("count", [40, 64, 65, 200])
+    def test_identical_at_one_and_two_workers(self, graph, pair, backend, count):
+        source, target = pair
+        stop = graph.neighbor_set(source)
+        serial, fanned = self._engines(graph, backend)
+        try:
+            assert fanned.walk_size == 64
+            drawn = [e.sample_path_batch(target, stop, count, rng=8) for e in (serial, fanned)]
+            assert _columns(drawn[0]) == _columns(drawn[1])
+            assert (fanned._pool is not None) == (fork_available() and count > 64)
+            flags = [sample_type1_indicators(e, target, stop, count, rng=8) for e in (serial, fanned)]
+            assert flags[0] == flags[1] == drawn[0].type1_bytes()
+            seeds = [(size, 100 + size) for size in (16, 0, 16, 9, 16, 16, 5)][: count // 16 + 1]
+            batches = [e.sample_seeded_batches(target, stop, seeds) for e in (serial, fanned)]
+            assert [_columns(b) for b in batches[0]] == [_columns(b) for b in batches[1]]
+            assert [len(b) for b in batches[0]] == [size for size, _ in seeds]
+        finally:
+            fanned.close()
+
+    def test_a_plan_chunks_each_group_like_a_lone_call(self, graph, pair, backend):
+        source, target = pair
+        stop = graph.neighbor_set(source)
+        serial, fanned = self._engines(graph, backend)
+        try:
+            sizes = (20, 0, 40, 70, 33)
+            for engine in (serial, fanned):
+                generator = random.Random(4)
+                lone = [engine.sample_path_batch(target, stop, n, rng=generator) for n in sizes]
+                generator = random.Random(4)
+                plan = DrawPlan(tuple((n, generator) for n in sizes))
+                fused = engine.sample_path_batch(target, stop, plan.count, rng=plan)
+                assert _columns(fused) == _columns(PathBatch.concat(lone, engine.compiled))
+        finally:
+            fanned.close()

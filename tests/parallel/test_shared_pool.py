@@ -9,6 +9,7 @@ terminates) the pool it inherited from its parent.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import subprocess
@@ -24,7 +25,8 @@ from repro.core.raf import RAFConfig, run_raf
 from repro.graph.compiled import compile_graph
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.weights import apply_degree_normalized_weights
-from repro.parallel import close_shared_engine, fork_available, shared_engine
+import repro.parallel.engine as parallel_engine
+from repro.parallel import ParallelEngine, close_shared_engine, fork_available, shared_engine
 
 pytestmark = pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
 
@@ -137,6 +139,52 @@ class TestThreads:
         assert not wrong
         close_shared_engine()
         assert not _children() - earlier  # every pool was closed or collected
+
+
+    def test_a_replaced_engine_never_forks_again(self, graph, monkeypatch):
+        """Two threads alternate two snapshots: each call replaces the slot
+        the other thread's run may still be sampling from.  That run
+        finishes in the parent -- no pool is ever forked by an engine the
+        cache no longer holds -- and answers equal the one-worker runs."""
+        other = apply_degree_normalized_weights(barabasi_albert_graph(400, 4, rng=31))
+        graphs = [graph, other]
+        serial = dataclasses.replace(CONFIG, workers=1)
+        expected = [sorted(run_raf(_problem(g), serial, rng=5).invitation) for g in graphs]
+        close_shared_engine()
+        uncached: list = []
+        ensure_pool = ParallelEngine._ensure_pool
+
+        def counting(self):
+            forking = self._pool is None
+            pool = ensure_pool(self)
+            slot = parallel_engine._SHARED
+            if forking and (slot is None or slot[1] is not self):
+                uncached.append(self)
+            return pool
+
+        monkeypatch.setattr(ParallelEngine, "_ensure_pool", counting)
+        wrong: list = []
+
+        def worker(offset: int) -> None:
+            for step in range(6):
+                index = (offset + step) % 2
+                answer = sorted(run_raf(_problem(graphs[index]), CONFIG, rng=5).invitation)
+                if answer != expected[index]:
+                    wrong.append((index, answer))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads), "a thread hung"
+        assert not wrong
+        assert uncached == []
 
 
 class TestForkedChild:

@@ -93,6 +93,34 @@ class TestCanonicalStreams:
             fanned = SamplePool(fanned_engine, seed=9).paths(target, stop, 5000)
         assert serial == fanned
 
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_missing_chunks_are_drawn_as_one_request(self, setting, name, monkeypatch):
+        graph, target, stop = setting
+        engine = create_engine(graph, name)
+        calls: list = []
+        inside: list = []  # the python engine walks a plan's groups by calling itself
+        draw = type(engine).sample_path_batch
+
+        def counting(self, target, stop_set, count, rng=None):
+            if not inside:
+                calls.append(count)
+            inside.append(count)
+            try:
+                return draw(self, target, stop_set, count, rng=rng)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(type(engine), "sample_path_batch", counting)
+        pool = SamplePool(engine, seed=9, chunk_size=64)
+        pool.paths(target, stop, 10)
+        grown = pool.paths(target, stop, 300)  # four missing chunks, one call
+        assert calls == [64, 256]
+        (entry,) = pool._entries.values()
+        assert [len(chunk) for chunk in entry.store.chunks()] == [64] * 5
+        assert grown == SamplePool(create_engine(graph, name), seed=9, chunk_size=64).paths(
+            target, stop, 300
+        )
+
 
 class TestReader:
     def test_reader_segments_match_direct_reads(self, setting):
