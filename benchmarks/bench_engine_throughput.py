@@ -41,7 +41,14 @@ Measures reverse-sampled paths/second on a synthetic benchmark graph for
   ``long_path_speedup`` field is the throughput relative to the per-walker
   reference kernel timed in the same run (<= 30% drift via
   ``--metric long_path_speedup``); bit-identity with that reference is
-  asserted first.
+  asserted first;
+* ``fused-walk`` -- the stopping rule's first request: its certain
+  batches 64, 128, 256, 512 and 1024 drawn by the alias engine as one
+  fused lockstep walk (one :class:`~repro.diffusion.engine.DrawPlan`)
+  against five separate calls on the same generator, in walker-steps/s.
+  Both arms draw the same paths (asserted first); its
+  ``fused_walk_speedup`` field is the fused arm's throughput relative to
+  the separate calls (<= 30% drift via ``--metric fused_walk_speedup``).
 
 Before timing anything, the benchmark asserts each columnar kernel (search
 mode and alias mode) is bit-identical to its retained per-walker reference
@@ -70,7 +77,8 @@ import sys
 import time
 from pathlib import Path
 
-from repro.diffusion.engine import ENGINE_NAMES, create_engine
+from repro.diffusion.engine import ENGINE_NAMES, DrawPlan, create_engine
+from repro.diffusion.path_batch import PathBatch
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.social_graph import SocialGraph
 from repro.graph.traversal import bfs_distances
@@ -191,6 +199,39 @@ def _benchmark_long_paths(num_nodes=4000, num_paths=1024):
         "num_paths": num_paths,
         "nodes_per_path": round(batch.total_nodes / num_paths, 1),
         "long_path_speedup": round(rate / reference_rate, 2),
+    }
+
+
+def _benchmark_fused_walk(graph, target, stop_set, sizes=(64, 128, 256, 512, 1024), repeats=15):
+    """The ``fused-walk`` row: the rule's certain batches as one walk vs five calls."""
+    engine = create_engine(graph, "numpy-alias")
+
+    def separate():
+        generator = random.Random(_SEED)
+        return [engine.sample_path_batch(target, stop_set, size, rng=generator) for size in sizes]
+
+    def fused():
+        generator = random.Random(_SEED)
+        plan = DrawPlan(tuple((size, generator) for size in sizes))
+        return engine.sample_path_batch(target, stop_set, plan.count, rng=plan)
+
+    batch = fused()
+    assert batch.to_paths() == PathBatch.concat(separate()).to_paths(), (
+        "the fused walk diverged from one call per batch"
+    )
+    best = {"fused": float("inf"), "separate": float("inf")}
+    for _ in range(repeats):  # alternate the arms so host drift hits both
+        for label, run in (("fused", fused), ("separate", separate)):
+            start = time.perf_counter()
+            run()
+            best[label] = min(best[label], time.perf_counter() - start)
+    steps = batch.total_nodes - len(batch)
+    return {
+        "steps_per_sec": round(steps / best["fused"], 1),
+        "separate_steps_per_sec": round(steps / best["separate"], 1),
+        "num_paths": len(batch),
+        "walker_steps": steps,
+        "fused_walk_speedup": round(best["separate"] / best["fused"], 2),
     }
 
 
@@ -336,6 +377,7 @@ def run_benchmark(num_paths: int = 30_000, num_nodes: int = 3000, transport_chun
         results["alias-batch"]["paths_per_sec"] / results["numpy-batch"]["paths_per_sec"], 2
     )
     results["long-path"] = _benchmark_long_paths()
+    results["fused-walk"] = _benchmark_fused_walk(graph, target, stop_set)
     transport = _benchmark_transport(graph, target, stop_set, num_chunks=transport_chunks)
     if transport is not None:
         results.update(transport)
@@ -383,6 +425,8 @@ def test_engine_throughput():
     # (1.5x at full benchmark size) to keep tier-1 runs unflaky.
     alias = results["alias-batch"]["alias_speedup"]
     assert alias >= 1.1, f"alias kernel only {alias}x over the searchsorted kernel"
+    fused = results["fused-walk"]["fused_walk_speedup"]
+    assert fused > 1.0, f"one fused walk only {fused}x over one call per batch"
     if "transport-shm" in results:
         # The wire rows must post, carry their sizing metadata, and the
         # zero-copy arm must never lose outright to pickling; the absolute

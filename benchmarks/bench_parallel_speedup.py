@@ -41,7 +41,7 @@ from bench_engine_throughput import _benchmark_graph
 from repro.core.problem import ActiveFriendingProblem
 from repro.core.raf import RAFConfig, estimate_pmax, run_raf
 from repro.diffusion.engine import create_engine
-from repro.parallel.engine import DEFAULT_CHUNK_SIZE, ParallelEngine, close_shared_engine
+from repro.parallel.engine import WALK_SIZE, ParallelEngine, close_shared_engine
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_parallel.json"
@@ -88,7 +88,7 @@ def _repeated_runs(graph, source, target, workers):
     close_shared_engine()
     earlier = {process.pid for process in multiprocessing.active_children()}
     config = RAFConfig(engine="python", workers=workers, sample_policy="fixed",
-                       fixed_realizations=4 * DEFAULT_CHUNK_SIZE, pmax_epsilon=0.1)
+                       fixed_realizations=2 * WALK_SIZE, pmax_epsilon=0.1)
     problem = ActiveFriendingProblem(graph, source, target, alpha=0.2)
     seconds, answers, pids = [], [], set()
     for index in range(_REPEATED_RUNS):
@@ -112,8 +112,8 @@ def run_benchmark(worker_counts=(1, 4), epsilon=0.02, num_nodes=3000):
     for workers in worker_counts:
         with ParallelEngine(base, workers=workers) as engine:
             # Fork the pool (and fault in the inherited snapshot) before
-            # the clock starts: a multi-chunk request forces the dispatch.
-            engine.sample_paths(target, stop_set, 2 * DEFAULT_CHUNK_SIZE, rng=0)
+            # the clock starts: a request of two walks forces the dispatch.
+            engine.sample_paths(target, stop_set, 2 * engine.walk_size, rng=0)
             seconds, estimate = _time_pmax(graph, source, target, engine, epsilon)
         if baseline_seconds is None:
             baseline_seconds, baseline_estimate = seconds, estimate

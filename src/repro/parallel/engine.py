@@ -78,8 +78,8 @@ import time
 import weakref
 from typing import Iterable
 
-from repro.diffusion.engine import DEFAULT_CHUNK_SIZE as WALK_SIZE
 from repro.diffusion.engine import (
+    DEFAULT_CHUNK_SIZE as WALK_SIZE,
     DrawPlan,
     SamplingEngine,
     TargetPath,
@@ -461,9 +461,9 @@ class ParallelEngine:
 
     def _forks(self) -> bool:
         """Whether multi-walk dispatches go to a worker pool at all."""
-        return (
-            self._workers > 1 and fork_available() and not self._degraded and not self._retired
-        )
+        if self._degraded or self._retired:
+            return False
+        return self._workers > 1 and fork_available()
 
     def retire(self) -> None:
         """Close the pool for good: every later dispatch runs in the parent.
@@ -817,9 +817,7 @@ class ParallelEngine:
             self._worker_crashes += 1
             self.close()  # terminate the damaged pool; sweep shm orphans
             if self._on_worker_failure == "raise":
-                raise self._crash_error(
-                    lost, max(retries[i] for i in lost) + 1, chunk_ids
-                )
+                raise self._crash_error(lost, max(retries[i] for i in lost) + 1, chunk_ids)
             for index in lost:
                 retries[index] += 1
             exhausted = max(retries[index] for index in lost) > self._max_chunk_retries

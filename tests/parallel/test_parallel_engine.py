@@ -368,7 +368,9 @@ class TestFusedWalks:
             drawn = [e.sample_path_batch(target, stop, count, rng=8) for e in (serial, fanned)]
             assert _columns(drawn[0]) == _columns(drawn[1])
             assert (fanned._pool is not None) == (fork_available() and count > 64)
-            flags = [sample_type1_indicators(e, target, stop, count, rng=8) for e in (serial, fanned)]
+            flags = [
+                sample_type1_indicators(e, target, stop, count, rng=8) for e in (serial, fanned)
+            ]
             assert flags[0] == flags[1] == drawn[0].type1_bytes()
             seeds = [(size, 100 + size) for size in (16, 0, 16, 9, 16, 16, 5)][: count // 16 + 1]
             batches = [e.sample_seeded_batches(target, stop, seeds) for e in (serial, fanned)]
