@@ -181,7 +181,12 @@ def estimate_pmax(
     geometrically growing batches (the rule still stops at exactly the same
     sample as a one-at-a-time run over the same stream).  Each of the
     rule's requests draws its batches with one :class:`DrawPlan`, so they
-    share one kernel walk while every batch keeps its own stream.  ``workers``
+    share kernel walks while every batch keeps its own stream.  A request
+    may hold one batch past the one the rule halts in (the running mean
+    predicted it was needed), so a generator passed as ``rng`` can advance
+    past the samples the estimate consumed: a caller that keeps drawing
+    from it afterwards should pass a derived generator instead, as
+    :func:`run_raf` does.  ``workers``
     optionally fans the batches out over a worker pool
     (:func:`repro.parallel.engine.shared_engine`); the merged stream -- and
     so the estimate and the consumed sample count -- is identical for every

@@ -82,6 +82,7 @@ __all__ = [
     "DrawPlan",
     "plan_groups",
     "pack_walks",
+    "reduce_walks",
     "PythonEngine",
     "NumpyEngine",
     "NumpyAliasEngine",
@@ -150,6 +151,32 @@ def pack_walks(groups, limit: int) -> list:
     if run:
         runs.append(run)
     return runs
+
+
+def reduce_walks(
+    engine: "SamplingEngine",
+    target: NodeId,
+    stop_set: Iterable[NodeId],
+    count: int,
+    rng: "RandomSource | DrawPlan",
+    reducer,
+) -> list:
+    """Draw a request one fused walk at a time and reduce each walk as it comes.
+
+    The walks are those one ``engine.sample_path_batch(target, stop_set,
+    count, rng=rng)`` call makes -- the request's groups packed into runs
+    of at most :data:`DEFAULT_CHUNK_SIZE` paths -- and their batches, in
+    order, are that call's batch.  Returns ``reducer(batch, groups)`` per
+    walk, where ``groups`` are the walk's ``(count, rng)`` groups; only one
+    walk's columns are live at a time, not the whole request's.
+    """
+    results = []
+    for walk in pack_walks(plan_groups(count, rng), DEFAULT_CHUNK_SIZE):
+        plan = DrawPlan(tuple(walk))
+        batch = engine.sample_path_batch(target, stop_set, plan.count, rng=plan)
+        results.append(reducer(batch, walk))
+        del batch  # the next walk is drawn without this one's columns
+    return results
 
 
 @runtime_checkable
@@ -257,6 +284,11 @@ class _EngineBase:
     """
 
     __slots__ = ("_graph", "_compiled")
+
+    #: Whether a call advances all its walks in lockstep rounds, so a fused
+    #: walk costs about its rounds rather than its paths.  The pool rule of
+    #: :class:`~repro.parallel.engine.ParallelEngine` keys on it.
+    lockstep = False
 
     def __init__(self, graph: SocialGraph | CompiledGraph) -> None:
         if isinstance(graph, CompiledGraph):
@@ -433,6 +465,7 @@ class NumpyEngine(_EngineBase):
         "_lock",
     )
     name = "numpy"
+    lockstep = True
 
     #: How a lockstep round maps uniform draws to friend selections.  The
     #: subclassed alias mode overrides this; it is part of the engine's

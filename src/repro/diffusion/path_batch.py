@@ -154,13 +154,16 @@ class PathBatch:
             graph,
         )
 
-    def split(self, sizes: Sequence[int]) -> list["PathBatch"]:
+    def split(self, sizes: Sequence[int], *, copy: bool = False) -> list["PathBatch"]:
         """Consecutive sub-batches of ``sizes[k]`` paths each, in order.
 
         The inverse of :meth:`concat`: ``concat(batch.split(sizes))``
-        has this batch's columns.  The parts own copies of their columns,
-        so they outlive a batch whose columns are shared-memory views.
+        has this batch's columns.  The parts view this batch's columns
+        (only their offsets are rebased copies); with ``copy`` they own
+        their columns, so they outlive a batch whose columns are
+        shared-memory views.
         """
+        take = (lambda column: column.copy()) if copy else (lambda column: column)
         parts = []
         first = 0
         for size in sizes:
@@ -169,9 +172,9 @@ class PathBatch:
             parts.append(
                 PathBatch(
                     self.offsets[first : last + 1] - low,
-                    self.node_indices[low:high].copy(),
-                    self.is_type1[first:last].copy(),
-                    self.anchor_indices[first:last].copy(),
+                    take(self.node_indices[low:high]),
+                    take(self.is_type1[first:last]),
+                    take(self.anchor_indices[first:last]),
                     self.graph,
                 )
             )

@@ -30,11 +30,16 @@ Determinism contract (see DESIGN.md §3):
 
 Execution (DESIGN.md §3, "walks").  A lockstep walk costs about the same
 per round whatever its walker count, so consecutive chunks are fused into
-walks of at most :attr:`ParallelEngine.walk_size` paths -- 8192, the base
-engine's walk bound, at the default chunk size -- and each walk is one
-kernel call over its chunks' seeded groups.  A request of at most one
-walk runs as that walk in the parent; a larger one goes to the pool as one
-task per walk.  Execution also stays in-process (same walks, same results)
+walks of at most :data:`WALK_SIZE` paths (8192, the base engine's walk
+bound), and each walk is one kernel call over its chunks' seeded groups.
+The pool rule: with ``T = min(workers, chunks)`` walks able to run at
+once, a request goes to the pool when cutting it into ``T`` walks takes at
+least :data:`POOL_MIN_CHUNKS` chunks' worth of paths off the parent's walk
+(``P - P / T``) -- on a lockstep base engine, whose fused walk costs its
+rounds; on any other engine, whenever ``T > 1``.  A pooled request is cut
+into walks as even as whole chunks allow, one task per walk.  Any other
+request runs as fused walks in the parent.
+Execution also stays in-process (same chunks, same results)
 when ``workers <= 1``, when the engine is degraded or retired, or when the
 platform lacks the ``fork`` start method (workers inherit the compiled
 graph by forking; shipping it by pickle to spawned processes would cost more
@@ -87,6 +92,7 @@ from repro.diffusion.engine import (
     collect_type1_paths,
     pack_walks,
     plan_groups,
+    reduce_walks,
     resolve_engine,
 )
 from repro.diffusion.path_batch import PathBatch
@@ -125,11 +131,12 @@ WORKERS_AUTO = "auto"
 #: typical stopping-rule batch still spreads over several workers.
 DEFAULT_CHUNK_SIZE = 2048
 
-#: Chunks per fused walk: a walk holds at most
-#: ``min(WALK_SIZE, WALK_CHUNKS * chunk_size)`` paths -- the base engine's
-#: walk bound (8192) at the default chunk size, and as many chunks per walk
-#: at a smaller one.
-WALK_CHUNKS = WALK_SIZE // DEFAULT_CHUNK_SIZE
+#: On a lockstep base engine, a request goes to the pool only when spreading
+#: it over the workers takes at least this many chunks' worth of paths off
+#: the parent's own walk (4096 paths at the default chunk size): below that,
+#: dispatching and collecting the tasks costs more than the rounds it saves
+#: (DESIGN.md §3.5).
+POOL_MIN_CHUNKS = 2
 
 #: How many respawn-and-retry rounds a lost walk gets before the engine
 #: gives up (raises :class:`~repro.exceptions.WorkerCrashError`) or degrades
@@ -304,6 +311,25 @@ def _type1_paths_only(batch: PathBatch, _arg) -> PathBatch:
     return batch.select_type1()  # ships as packed columns, type-1 only
 
 
+def _even_walks(chunks: list, tasks: int) -> list:
+    """Contiguous walks over ``(size, ...)`` chunks for ``tasks`` workers.
+
+    Finds the smallest bound that packs the chunks into at most ``tasks``
+    walks -- the largest walk as small as whole chunks allow -- and packs
+    by it, capped at :data:`WALK_SIZE` (so a large request gets more
+    walks, and a larger chunk walks alone).
+    """
+    low = max(size for size, _ in chunks)
+    high = max(low, sum(size for size, _ in chunks))
+    while low < high:
+        middle = (low + high) // 2
+        if len(pack_walks(chunks, middle)) <= tasks:
+            high = middle
+        else:
+            low = middle + 1
+    return pack_walks(chunks, min(low, WALK_SIZE))
+
+
 def _shutdown_pool(pool) -> None:
     pool.terminate()
     pool.join()
@@ -355,7 +381,6 @@ class ParallelEngine:
         self._base = base
         self._workers = resolved
         self._chunk_size = int(chunk_size)
-        self._walk_size = min(WALK_SIZE, WALK_CHUNKS * self._chunk_size)
         self._transport = resolve_transport(transport)
         self._max_chunk_retries = int(max_chunk_retries)
         self._on_worker_failure = on_worker_failure
@@ -394,9 +419,8 @@ class ParallelEngine:
     @property
     def walk_size(self) -> int:
         """Most paths one fused lockstep walk holds (a larger chunk walks
-        alone); a request of at most this many paths never leaves the
-        parent."""
-        return self._walk_size
+        alone): :data:`WALK_SIZE`."""
+        return WALK_SIZE
 
     @property
     def transport(self) -> str:
@@ -600,16 +624,16 @@ class ParallelEngine:
 
         The request is split into fixed-size chunks, each chunk is drawn
         from its own derived-seed generator, the chunks are fused into
-        walks of at most :attr:`walk_size` paths (possibly on a worker
-        process, which ships packed columns back), and the walks are
-        concatenated in order on the parent -- so the result is
-        independent of the worker count and of walk scheduling.  A
-        :class:`~repro.diffusion.engine.DrawPlan` chunks each of its
-        groups as a lone call with that group's count and rng would.
+        walks by the pool rule (possibly on a worker process, which ships
+        packed columns back), and the walks are concatenated in order on
+        the parent -- so the result is independent of the worker count and
+        of walk scheduling.  A :class:`~repro.diffusion.engine.DrawPlan`
+        chunks each of its groups as a lone call with that group's count
+        and rng would.
         """
         compiled = self.compiled
-        walks = self._run_walks(target, stop_set, self._walk_layout(count, rng))
-        return PathBatch.concat([walk.attach(compiled) for walk in walks], compiled)
+        walks = self._run_walks(target, stop_set, self._request_chunks(count, rng))
+        return PathBatch.concat([walk.attach(compiled) for walk, _ in walks], compiled)
 
     def sample_seeded_batches(
         self,
@@ -632,13 +656,16 @@ class ParallelEngine:
         compiled = self.compiled
         for size, _ in sized_seeds:
             require_non_negative_int(size, "count")
-        layout = pack_walks(sized_seeds, self._walk_size)
-        walks = self._run_walks(target, stop_set, layout)
-        return [
-            chunk
-            for walk, chunks in zip(walks, layout)
-            for chunk in walk.attach(compiled).split([size for size, _ in chunks])
-        ]
+        batches: list[PathBatch] = []
+        for walk, chunks in self._run_walks(target, stop_set, list(sized_seeds)):
+            walk = walk.attach(compiled)
+            if len(chunks) == 1:
+                batches.append(walk)
+            else:
+                # Copies: a pooled walk's columns may be views of a shared
+                # memory segment that is unmapped when the walk is collected.
+                batches.extend(walk.split([size for size, _ in chunks], copy=True))
+        return batches
 
     def sample_seeded_chunks(
         self,
@@ -670,11 +697,12 @@ class ParallelEngine:
         the paths are consumed, keeping the inter-process traffic
         proportional to the reduced size rather than to the raw path count.
         """
-        layout = self._walk_layout(count, rng)
-        return self._run_walks(target, stop_set, layout, reducer=reducer, arg=arg)
+        chunks = self._request_chunks(count, rng)
+        walks = self._run_walks(target, stop_set, chunks, reducer=reducer, arg=arg)
+        return [result for result, _ in walks]
 
-    def _walk_layout(self, count, rng) -> list:
-        """The request's ``(size, seed)`` chunks, packed into walks in order.
+    def _request_chunks(self, count, rng) -> list:
+        """The request's ``(size, seed)`` chunks, in order.
 
         Each group of the request (see :func:`~repro.diffusion.engine.plan_groups`)
         is cut into ``chunk_size`` pieces, and chunk ``i`` of a group gets
@@ -687,10 +715,39 @@ class ParallelEngine:
             for index, offset in enumerate(range(0, size, self._chunk_size)):
                 seed = derive_seed(generator, f"parallel-chunk-{index}")
                 chunks.append((min(self._chunk_size, size - offset), seed))
-        return pack_walks(chunks, self._walk_size)
+        return chunks
 
-    def _run_walks(self, target, stop_set, walks, reducer=None, arg=None) -> list:
-        """Draw each walk of ``(size, seed)`` chunks fused; one result per walk."""
+    def _walks(self, chunks: list) -> tuple[list, bool]:
+        """The pool rule: ``(walks, pooled)`` for a request's ``(size, seed)`` chunks.
+
+        With ``T = min(workers, chunks)`` walks able to run at once, the
+        request is pooled when ``T`` even walks take at least
+        :data:`POOL_MIN_CHUNKS` chunks' worth of paths off the parent's
+        walk (on a lockstep base engine; on another, whenever ``T > 1``);
+        the walks then keep the largest one as small as whole chunks allow.
+        Otherwise the chunks are packed into walks of at most
+        :data:`WALK_SIZE` paths for the parent.  Walks never change which
+        paths a chunk draws, only how many run in one kernel call.
+        """
+        total = sum(size for size, _ in chunks)
+        tasks = min(self._workers, len(chunks)) if self._forks() else 1
+        # Only a lockstep engine walks a fused request faster than its
+        # paths' worth; on any other, spreading the paths always pays.
+        lockstep = getattr(self._base, "lockstep", False)
+        saving = POOL_MIN_CHUNKS * self._chunk_size if lockstep else 0
+        if tasks > 1 and total * (tasks - 1) >= saving * tasks:
+            walks = _even_walks(chunks, tasks)
+            if len(walks) > 1:
+                return walks, True
+        return pack_walks(chunks, WALK_SIZE), False
+
+    def _run_walks(self, target, stop_set, chunks, reducer=None, arg=None) -> list:
+        """Draw the ``(size, seed)`` chunks as fused walks, in order.
+
+        Returns ``(result, walk)`` per walk: the walk's batch (or its
+        reduction) and the chunks it holds.
+        """
+        walks, pooled = self._walks(chunks)
         stop = stop_set if isinstance(stop_set, frozenset) else frozenset(stop_set)
         if reducer is None:
             payloads = [(target, stop, tuple(walk)) for walk in walks]
@@ -702,22 +759,23 @@ class ParallelEngine:
         for walk in walks:
             first_chunks.append(first_chunks[-1] + len(walk))
         chunk_ids = [range(low, high) for low, high in zip(first_chunks, first_chunks[1:])]
-        return self._dispatch(payloads, run_pooled, run_local, chunk_ids)
+        results = self._dispatch(payloads, run_pooled, run_local, chunk_ids, pooled)
+        return list(zip(results, walks))
 
     # ------------------------------------------------------------------ #
     # Dispatch and crash recovery
     # ------------------------------------------------------------------ #
 
-    def _dispatch(self, payloads, run_pooled, run_local, chunk_ids) -> list:
-        """Run the walk payloads, pooled where possible, serially otherwise.
+    def _dispatch(self, payloads, run_pooled, run_local, chunk_ids, pooled) -> list:
+        """Run the walk payloads, on the pool when ``pooled``, serially otherwise.
 
-        The serial path (one worker, one walk, no fork support, or a
-        degraded or retired engine) runs the same payloads on the base
-        engine; walk contents are pure functions of their chunk seeds, so
-        both paths return the identical list.  ``chunk_ids[i]`` holds the
-        chunk indices of walk ``i``, which crash errors name.
+        The serial path (the pool rule's choice, or a degraded or retired
+        engine) runs the same payloads on the base engine; walk contents
+        are pure functions of their chunk seeds, so both paths return the
+        identical list.  ``chunk_ids[i]`` holds the chunk indices of walk
+        ``i``, which crash errors name.
         """
-        if len(payloads) > 1 and self._forks():
+        if pooled and self._forks():
             with self._lock:
                 if self._forks():  # another thread may have degraded or retired it
                     return self._dispatch_pooled(payloads, run_pooled, run_local, chunk_ids)
@@ -943,12 +1001,19 @@ def sample_type1_indicators(
     target: NodeId,
     stop_set: Iterable[NodeId],
     count: int,
-    rng: RandomSource = None,
+    rng: "RandomSource | DrawPlan" = None,
 ) -> bytes:
-    """The type indicators ``y(ĝ)`` of ``count`` reverse samples, one byte each."""
+    """The type indicators ``y(ĝ)`` of ``count`` reverse samples, one byte each.
+
+    ``rng`` may be a :class:`~repro.diffusion.engine.DrawPlan`.  Each walk
+    is reduced as soon as it is drawn, so only one walk's columns are live
+    at a time, however many batches the request holds.
+    """
     if isinstance(engine, ParallelEngine):
         return b"".join(engine.sample_reduced(target, stop_set, count, rng, _type1_indicator_bytes))
-    return engine.sample_path_batch(target, stop_set, count, rng=rng).type1_bytes()
+    return b"".join(
+        reduce_walks(engine, target, stop_set, count, rng, lambda batch, _: batch.type1_bytes())
+    )
 
 
 def sample_covered_indicators(
@@ -966,7 +1031,11 @@ def sample_covered_indicators(
                 target, stop_set, count, rng, _covered_indicator_bytes, arg=invitation
             )
         )
-    return engine.sample_path_batch(target, stop_set, count, rng=rng).covered_bytes(invitation)
+    return b"".join(
+        reduce_walks(
+            engine, target, stop_set, count, rng, lambda batch, _: batch.covered_bytes(invitation)
+        )
+    )
 
 
 def collect_type1(

@@ -87,7 +87,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
-from repro.diffusion.engine import DrawPlan, SamplingEngine, TargetPath
+from repro.diffusion.engine import DrawPlan, SamplingEngine, TargetPath, reduce_walks
 from repro.diffusion.path_batch import PathBatch, PathStore
 from repro.faults import SITE_SPILL_IO, FaultPlan
 from repro.graph.compiled import reverse_reachable
@@ -559,10 +559,14 @@ class SamplePool:
         if isinstance(engine, ParallelEngine):
             chunks = engine.sample_seeded_batches(entry.target, entry.stop_set, sized_seeds)
         else:
-            # All missing chunks as one request: they share the engine's walk.
+            # All missing chunks as one request: they share the engine's walks,
+            # and each walk is cut back into its chunks as it comes.
             plan = DrawPlan(tuple((size, random.Random(seed)) for size, seed in sized_seeds))
-            drawn = engine.sample_path_batch(entry.target, entry.stop_set, plan.count, rng=plan)
-            chunks = drawn.split([size for size, _ in sized_seeds])
+            walks = reduce_walks(
+                engine, entry.target, entry.stop_set, plan.count, plan,
+                lambda batch, groups: batch.split([size for size, _ in groups]),
+            )
+            chunks = [chunk for walk in walks for chunk in walk]
         self._drawn += sum(len(chunk) for chunk in chunks)
         return chunks
 

@@ -11,19 +11,22 @@ far past the kernel's history window.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.diffusion.engine as engine_module
-from repro.diffusion.engine import DrawPlan, NumpyEngine, create_engine, pack_walks
+from repro.diffusion.engine import DrawPlan, NumpyEngine, create_engine, pack_walks, reduce_walks
 from repro.diffusion.path_batch import PathBatch
 from repro.exceptions import EngineError
 from repro.graph.compiled import CompiledGraph, compile_graph
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.social_graph import SocialGraph
 from repro.graph.weights import apply_degree_normalized_weights
+from repro.parallel.engine import sample_type1_indicators
 
 SETTINGS = settings(
     max_examples=12,
@@ -165,3 +168,62 @@ class TestWalkBound:
         fused_walks = walked[len(sizes):]  # the lone calls walk first, one each
         assert fused_walks == [[30, 40, 20], [50], [150], [60], [60]]
         assert all(sum(walk) <= 100 or len(walk) == 1 for walk in fused_walks)
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_reduce_walks_sees_the_fused_call_walk_by_walk(
+        self, settings_by_layout, monkeypatch, name
+    ):
+        graph, target, stop = settings_by_layout[("ba", "mapped")]
+        monkeypatch.setattr(engine_module, "DEFAULT_CHUNK_SIZE", 100)
+        engine = create_engine(graph, name)
+        sizes = [30, 40, 20, 50, 150, 0, 60]
+        _, fused = _lone_and_fused(engine, target, stop, sizes, 6, shared=True)
+        generator = random.Random(6)
+        plan = DrawPlan(tuple((size, generator) for size in sizes))
+        walks = reduce_walks(
+            engine, target, stop, plan.count, plan,
+            lambda batch, groups: (batch, [size for size, _ in groups]),
+        )
+        assert [sizes for _, sizes in walks] == [[30, 40, 20], [50], [150], [0, 60]]
+        batches = [batch for batch, _ in walks]
+        assert _columns(PathBatch.concat(batches, engine.compiled)) == _columns(fused)
+
+
+class TestOneWalkLive:
+    """A request reduced walk by walk never holds more than one walk's
+    columns, however many batches it asks for."""
+
+    @pytest.mark.parametrize("name", ["numpy", "numpy-alias"])
+    def test_indicator_peak_is_one_walks(self, name):
+        # Every walk on the ring goes all the way round: 150 nodes a path,
+        # so a 5000-path walk holds 6 MB of node columns.
+        engine = create_engine(_ring(), name)
+        engine.sample_path_batch(0, frozenset(), 8, rng=1)  # build the derived columns
+
+        def peak(sizes) -> int:
+            generator = random.Random(3)
+            plan = DrawPlan(tuple((size, generator) for size in sizes))
+            tracemalloc.start()
+            try:
+                flags = sample_type1_indicators(engine, 0, frozenset(), plan.count, rng=plan)
+                _, high = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(flags) == plan.count
+            return high
+
+        # Six walks (no two groups fit one walk) peak like one: drawn as one
+        # batch, the request would hold five finished walks during the
+        # sixth, and then all six again in their concatenation.
+        assert peak([5000] * 6) < 1.2 * peak([5000])
+
+
+class TestSplit:
+    def test_parts_view_the_batch_unless_copied(self, settings_by_layout):
+        graph, target, stop = settings_by_layout[("ba", "memory")]
+        batch = create_engine(graph, "numpy").sample_path_batch(target, stop, 50, rng=2)
+        for copy in (False, True):
+            parts = batch.split([20, 0, 30], copy=copy)
+            assert [len(part) for part in parts] == [20, 0, 30]
+            assert _columns(PathBatch.concat(parts)) == _columns(batch)
+            assert np.shares_memory(parts[2].node_indices, batch.node_indices) is not copy

@@ -348,26 +348,27 @@ def _columns(batch: PathBatch) -> tuple:
 
 @pytest.mark.parametrize("backend", ENGINES)
 class TestFusedWalks:
-    """Chunks share walks of at most ``walk_size`` paths: one in the parent
-    for a request of at most one walk, one pool task per walk otherwise --
-    and the same paths for every worker count either way."""
+    """Chunks share fused walks: in the parent while spreading the request
+    over the workers saves less than two chunks of lockstep walking, as one
+    pool task per even walk otherwise -- and the same paths for every
+    worker count either way."""
 
-    CHUNK = 16  # walk_size = 4 chunks = 64 paths
+    CHUNK = 16  # at two workers, pooled from two chunks (python) or 64 paths on
 
     def _engines(self, graph, backend):
         base = create_engine(graph, backend)
         return [ParallelEngine(base, workers=n, chunk_size=self.CHUNK) for n in (1, 2)]
 
-    @pytest.mark.parametrize("count", [40, 64, 65, 200])
+    @pytest.mark.parametrize("count", [16, 40, 63, 64, 200])
     def test_identical_at_one_and_two_workers(self, graph, pair, backend, count):
         source, target = pair
         stop = graph.neighbor_set(source)
         serial, fanned = self._engines(graph, backend)
         try:
-            assert fanned.walk_size == 64
             drawn = [e.sample_path_batch(target, stop, count, rng=8) for e in (serial, fanned)]
             assert _columns(drawn[0]) == _columns(drawn[1])
-            assert (fanned._pool is not None) == (fork_available() and count > 64)
+            pooled_from = 17 if backend == "python" else 64
+            assert (fanned._pool is not None) == (fork_available() and count >= pooled_from)
             flags = [
                 sample_type1_indicators(e, target, stop, count, rng=8) for e in (serial, fanned)
             ]
@@ -394,3 +395,61 @@ class TestFusedWalks:
                 assert _columns(fused) == _columns(PathBatch.concat(lone, engine.compiled))
         finally:
             fanned.close()
+
+
+@pytest.mark.skipif(not fork_available(), reason="the pool rule applies only where workers fork")
+class TestPoolRule:
+    """Which requests go to the pool, and as how many walks, per worker
+    count: a request is spread over ``min(workers, chunks)`` even walks
+    once that takes two chunks' worth of paths off the parent's lockstep
+    walk -- or, on an engine that does not walk in lockstep, whenever two
+    walks can run at once.  Deciding the layout forks nothing."""
+
+    @staticmethod
+    def _layout(workers, sizes, backend="numpy"):
+        base = create_engine(barabasi_albert_graph(20, 2, rng=1), backend)
+        engine = ParallelEngine(base, workers)
+        generator = random.Random(0)
+        plan = DrawPlan(tuple((size, generator) for size in sizes))
+        walks, pooled = engine._walks(engine._request_chunks(plan.count, plan))
+        assert engine._pool is None
+        return [sum(size for size, _ in walk) for walk in walks], pooled
+
+    @pytest.mark.parametrize(
+        "workers, chunks, walks, pooled",
+        [
+            (2, 2, [4096], False),
+            (2, 3, [6144], False),
+            (2, 4, [4096, 4096], True),
+            (2, 8, [8192, 8192], True),
+            (2, 16, [8192] * 4, True),  # no walk past the walk bound
+            (4, 2, [4096], False),
+            (4, 3, [2048] * 3, True),
+            (4, 4, [2048] * 4, True),
+            (4, 5, [4096, 4096, 2048], True),
+            (4, 8, [4096] * 4, True),
+            (8, 3, [2048] * 3, True),
+        ],
+    )
+    @pytest.mark.parametrize("backend", ["numpy", "numpy-alias"])
+    def test_even_walks_per_worker_count(self, backend, workers, chunks, walks, pooled):
+        assert self._layout(workers, [2048] * chunks, backend) == (walks, pooled)
+
+    def test_the_stopping_rule_requests(self):
+        # Its first request (64 ... 1024) never pays for the pool; its next
+        # (2048 + 4096: three chunks) does once three workers can share it.
+        assert self._layout(2, [64, 128, 256, 512, 1024]) == ([1984], False)
+        assert self._layout(8, [64, 128, 256, 512, 1024]) == ([1984], False)
+        assert self._layout(2, [2048, 4096]) == ([6144], False)
+        assert self._layout(4, [2048, 4096]) == ([2048] * 3, True)
+
+    def test_a_walk_that_costs_its_paths_always_spreads(self):
+        # The python engine walks a plan's groups one after another, so
+        # fusing saves nothing and any two chunks pay for the pool.
+        assert self._layout(2, [2048, 2048], "python") == ([2048, 2048], True)
+        assert self._layout(2, [2048] * 3, "python") == ([4096, 2048], True)
+        assert self._layout(4, [64, 128, 256, 512, 1024], "python") == ([960, 1024], True)
+        assert self._layout(2, [2048], "python") == ([2048], False)
+
+    def test_one_worker_walks_in_the_parent(self):
+        assert self._layout(1, [2048] * 8) == ([8192, 8192], False)
