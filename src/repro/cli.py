@@ -73,14 +73,14 @@ from repro.graph.compiled import CompiledGraph
 from repro.graph.datasets import DATASET_NAMES, load_dataset
 from repro.graph.io import read_snap_graph
 from repro.graph.stream_compiler import WEIGHT_SCHEMES, compile_edge_list
-from repro.graph.metrics import compute_stats
+from repro.graph.metrics import average_degree
 from repro.graph.weights import apply_degree_normalized_weights
 from repro.experiments.records import to_jsonable
 from repro.parallel.engine import WORKERS_AUTO, maybe_parallel
 from repro.pool.sample_pool import SamplePool
 from repro.service.loadgen import emit_load_report, run_load_benchmark
 from repro.service.query_service import QUERY_KINDS, QueryService
-from repro.service.server import serve_forever
+from repro.service.server import DEFAULT_CONNECTION_WINDOW, serve_forever
 from repro.types import PairSpec, ordered
 from repro.utils.rng import derive_seed
 from repro.utils.tables import render_table
@@ -350,9 +350,10 @@ def _register_serving_commands(subparsers) -> None:
              "(--listen only; default: 64)",
     )
     serve.add_argument(
-        "--connection-window", type=int, default=32, metavar="N",
+        "--connection-window", type=int, default=DEFAULT_CONNECTION_WINDOW, metavar="N",
         help="bounded in-flight request window per connection; further "
-             "reads wait until responses drain (--listen only; default: 32)",
+             "reads wait until responses drain "
+             f"(--listen only; default: {DEFAULT_CONNECTION_WINDOW})",
     )
     serve.add_argument(
         "--default-deadline-ms", type=float, default=None, metavar="MS",
@@ -511,9 +512,8 @@ def _command_datasets(args: argparse.Namespace) -> int:
 
 def _command_raf(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
-    stats = compute_stats(graph)
-    print(f"graph: {stats.num_nodes} users, {stats.num_edges} friendships, "
-          f"avg degree {stats.avg_degree:.2f}")
+    print(f"graph: {graph.num_nodes} users, {graph.num_edges} friendships, "
+          f"avg degree {average_degree(graph):.2f}")
     pair = _resolve_pair(graph, args)
     problem = ActiveFriendingProblem(graph, pair.source, pair.target, alpha=args.alpha)
     epsilon = args.epsilon if args.epsilon is not None else args.alpha / 5.0
@@ -678,13 +678,6 @@ def _serve_reply(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True), flush=True)
 
 
-#: In-flight request window of ``repro serve`` when --max-in-flight is not
-#: given: enough pipelining for duplicates to meet in flight and coalesce,
-#: small enough that responses (written in input order) are not held back
-#: long behind a slow request.
-_SERVE_WINDOW = 32
-
-
 def _serve_fault_plan(args: argparse.Namespace):
     """Build ``repro serve``'s opt-in FaultPlan (``None`` without --fault-seed).
 
@@ -728,7 +721,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         ("--tenant-burst", args.tenant_burst, None),
         ("--tenant-rate", args.tenant_rate, None),
         ("--max-tenants", args.max_tenants, 64),
-        ("--connection-window", args.connection_window, 32),
+        ("--connection-window", args.connection_window, DEFAULT_CONNECTION_WINDOW),
         ("--default-deadline-ms", args.default_deadline_ms, None),
     ):
         if value != unset:
@@ -793,7 +786,7 @@ def _serve_stdin(args: argparse.Namespace) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     graph = _load_graph(args)
-    window = args.max_in_flight if args.max_in_flight is not None else _SERVE_WINDOW
+    window = args.max_in_flight if args.max_in_flight is not None else DEFAULT_CONNECTION_WINDOW
     with QueryService(
         graph,
         engine=args.engine,
@@ -834,16 +827,7 @@ def _serve_stdin(args: argparse.Namespace) -> int:
             op = request.pop("op", None)
             if op == "stats":
                 drain()
-                metrics = service.metrics()
-                _serve_reply({
-                    "ok": True,
-                    "op": op,
-                    "result": {
-                        **{k: v for k, v in to_jsonable(metrics).items() if k != "__type__"},
-                        "coalesce_rate": metrics.coalesce_rate,
-                        "pool_hit_rate": metrics.pool_hit_rate,
-                    },
-                })
+                _serve_reply({"ok": True, "op": op, "result": service.metrics().as_dict()})
                 continue
             builder = QUERY_KINDS.get(op)
             if builder is None:

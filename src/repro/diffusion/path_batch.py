@@ -110,9 +110,7 @@ class PathBatch:
     boundaries) and re-attached by the receiver via :meth:`attach`.
     """
 
-    # __weakref__ lets the shared-memory transport (repro.parallel.shm) tie
-    # a segment's lifetime to the batch viewing it via weakref.finalize.
-    __slots__ = ("offsets", "node_indices", "is_type1", "anchor_indices", "graph", "__weakref__")
+    __slots__ = ("offsets", "node_indices", "is_type1", "anchor_indices", "graph")
 
     def __init__(self, offsets, node_indices, is_type1, anchor_indices, graph=None) -> None:
         self.offsets = offsets
@@ -154,16 +152,13 @@ class PathBatch:
             graph,
         )
 
-    def split(self, sizes: Sequence[int], *, copy: bool = False) -> list["PathBatch"]:
+    def split(self, sizes: Sequence[int]) -> list["PathBatch"]:
         """Consecutive sub-batches of ``sizes[k]`` paths each, in order.
 
         The inverse of :meth:`concat`: ``concat(batch.split(sizes))``
         has this batch's columns.  The parts view this batch's columns
-        (only their offsets are rebased copies); with ``copy`` they own
-        their columns, so they outlive a batch whose columns are
-        shared-memory views.
+        (only their offsets are rebased copies).
         """
-        take = (lambda column: column.copy()) if copy else (lambda column: column)
         parts = []
         first = 0
         for size in sizes:
@@ -172,9 +167,9 @@ class PathBatch:
             parts.append(
                 PathBatch(
                     self.offsets[first : last + 1] - low,
-                    take(self.node_indices[low:high]),
-                    take(self.is_type1[first:last]),
-                    take(self.anchor_indices[first:last]),
+                    self.node_indices[low:high],
+                    self.is_type1[first:last],
+                    self.anchor_indices[first:last],
                     self.graph,
                 )
             )

@@ -658,13 +658,7 @@ class ParallelEngine:
             require_non_negative_int(size, "count")
         batches: list[PathBatch] = []
         for walk, chunks in self._run_walks(target, stop_set, list(sized_seeds)):
-            walk = walk.attach(compiled)
-            if len(chunks) == 1:
-                batches.append(walk)
-            else:
-                # Copies: a pooled walk's columns may be views of a shared
-                # memory segment that is unmapped when the walk is collected.
-                batches.extend(walk.split([size for size, _ in chunks], copy=True))
+            batches.extend(walk.attach(compiled).split([size for size, _ in chunks]))
         return batches
 
     def sample_seeded_chunks(

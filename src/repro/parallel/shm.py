@@ -27,19 +27,18 @@ Lifecycle protocol (see DESIGN.md §7)
   descriptor.  Any failure (shared memory unavailable, ``/dev/shm`` full)
   returns ``None`` and the caller falls back to pickling the batch -- the
   transport degrades, the results do not change.
-* **Adopt (parent).**  :func:`adopt` attaches the segment, builds the
-  column views, and registers the segment in a per-process table of live
-  adoptions.  A finalizer on the returned batch releases the segment --
-  close plus unlink -- when the batch is garbage collected, so segment
-  lifetime is exactly the lifetime of the (usually short-lived) batch
-  object that views it.
-* **Crash safety.**  Every adopted-but-unreleased segment is released at
-  interpreter exit (``atexit``), and :func:`sweep_orphans` unlinks any
-  on-disk segment carrying this process's prefix that is *not* currently
-  adopted -- the leftovers of a worker that died between publish and
-  delivery.  :class:`~repro.parallel.engine.ParallelEngine` sweeps on
-  ``close()`` and the module sweeps at exit, so no orphan outlives its
-  owning process.
+* **Adopt (parent).**  :func:`adopt` maps the segment, unlinks its name
+  at once, and builds the columns with ``numpy.frombuffer`` over the
+  mapping.  The mapping is the arrays' base buffer, so the pages live
+  exactly as long as any column -- or any view of one, such as a
+  :meth:`~repro.diffusion.path_batch.PathBatch.split` part -- and nothing
+  is left to release.
+* **Crash safety.**  A segment still on disk under this process's prefix
+  was never adopted: its worker died between publish and delivery.
+  :func:`sweep_orphans` unlinks every such segment;
+  :class:`~repro.parallel.engine.ParallelEngine` sweeps on ``close()``
+  and the module sweeps at exit, so no orphan outlives its owning
+  process.
 
 The transport is optional: :func:`shm_available` gates on the platform,
 and every caller has a pickling fallback.
@@ -48,9 +47,9 @@ and every caller has a pickling fallback.
 from __future__ import annotations
 
 import atexit
+import mmap
 import os
 import uuid
-import weakref
 from dataclasses import dataclass
 
 import numpy as _np
@@ -74,9 +73,7 @@ __all__ = [
     "set_publish_failures",
     "adopt",
     "sweep_orphans",
-    "release_all",
     "register_exit_cleanup",
-    "live_segments",
 ]
 
 #: Transport names accepted by :class:`~repro.parallel.engine.ParallelEngine`.
@@ -84,10 +81,6 @@ TRANSPORTS = ("auto", "shm", "pickle")
 
 #: Where POSIX shared memory is visible as files (the orphan sweep scans it).
 _SHM_DIR = "/dev/shm"
-
-#: Live adoptions: segment name -> the attached SharedMemory object.  A
-#: segment leaves this table exactly once, through :func:`_release_segment`.
-_ADOPTED: dict = {}
 
 _ATEXIT_REGISTERED = False
 
@@ -114,7 +107,7 @@ def set_publish_failures(count: int) -> None:
 
 def shm_available() -> bool:
     """Whether the zero-copy transport can run on this platform."""
-    return _shared_memory is not None
+    return _shared_memory is not None and os.path.isdir(_SHM_DIR)
 
 
 def resolve_transport(transport: str) -> str:
@@ -231,86 +224,59 @@ def publish_batch(batch: PathBatch, prefix: "str | None" = None) -> "ShmBatchRef
     return ShmBatchRef(name=shm.name, num_paths=num_paths, num_nodes=num_nodes)
 
 
-def _release_segment(name: str) -> None:
-    """Close and unlink one adopted segment (idempotent per name)."""
-    shm = _ADOPTED.pop(name, None)
-    if shm is None:
-        return
-    try:
-        shm.close()
-    except BufferError:  # pragma: no cover - a column view outlived its batch
-        pass  # unlink below still removes the name; the pages die with the maps
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
-
-
-def release_all() -> None:
-    """Release every still-adopted segment (the ``atexit`` safety net)."""
-    for name in list(_ADOPTED):
-        _release_segment(name)
-
-
-def _exit_cleanup() -> None:  # pragma: no cover - runs at interpreter exit
-    release_all()
-    sweep_orphans()
-
-
 def register_exit_cleanup() -> None:
-    """Arm the at-exit safety net (idempotent).
+    """Arm the at-exit orphan sweep (idempotent).
 
-    Called on the first adoption *and* when a pool with the shm transport
-    is forked, so a parent that dies between a worker's publish and its own
-    adopt still sweeps its segments on any non-brutal exit.
+    Called when a pool with the shm transport is forked, so a parent that
+    dies between a worker's publish and its own adopt still sweeps its
+    segments on any non-brutal exit.
     """
     global _ATEXIT_REGISTERED
     if not _ATEXIT_REGISTERED:
-        atexit.register(_exit_cleanup)
+        atexit.register(sweep_orphans)
         _ATEXIT_REGISTERED = True
 
 
 def adopt(ref: ShmBatchRef) -> PathBatch:
-    """Attach a published segment and wrap zero-copy views into a batch.
+    """Map a published segment, unlink its name and view its columns.
 
     The returned batch is detached (``graph is None``) exactly like a
     pickled batch off the wire; the caller re-``attach()``-es its snapshot.
-    A finalizer ties the segment's lifetime to the batch object: when the
-    batch is collected, the segment is closed and unlinked.
+    Its columns are ``numpy.frombuffer`` arrays over the mapping, which
+    stays mapped while any of them, or any view of one, is alive.
     """
     if not shm_available():
         raise EngineError("cannot adopt a shared-memory batch: shared memory unavailable")
-    shm = _shared_memory.SharedMemory(name=ref.name)
-    _, offsets_off, nodes_off, anchors_off, flags_off = _layout(ref.num_paths, ref.num_nodes)
-    buf = shm.buf
-    batch = PathBatch(
-        _np.ndarray((ref.num_paths + 1,), dtype=_np.int64, buffer=buf, offset=offsets_off),
-        _np.ndarray((ref.num_nodes,), dtype=_np.int64, buffer=buf, offset=nodes_off),
-        _np.ndarray((ref.num_paths,), dtype=_np.bool_, buffer=buf, offset=flags_off),
-        _np.ndarray((ref.num_paths,), dtype=_np.int64, buffer=buf, offset=anchors_off),
+    total, offsets_off, nodes_off, anchors_off, flags_off = _layout(ref.num_paths, ref.num_nodes)
+    path = os.path.join(_SHM_DIR, ref.name)
+    fd = os.open(path, os.O_RDWR)
+    try:
+        mapping = mmap.mmap(fd, max(total, 1))
+    finally:
+        os.close(fd)
+        os.unlink(path)
+
+    def column(offset, length, dtype):
+        return _np.frombuffer(mapping, dtype=dtype, count=length, offset=offset)
+
+    return PathBatch(
+        column(offsets_off, ref.num_paths + 1, _np.int64),
+        column(nodes_off, ref.num_nodes, _np.int64),
+        column(flags_off, ref.num_paths, _np.bool_),
+        column(anchors_off, ref.num_paths, _np.int64),
         None,
     )
-    _ADOPTED[ref.name] = shm
-    weakref.finalize(batch, _release_segment, ref.name)
-    register_exit_cleanup()
-    return batch
-
-
-def live_segments() -> tuple:
-    """Names of the currently adopted (attached, not yet released) segments."""
-    return tuple(_ADOPTED)
 
 
 def sweep_orphans(prefix: "str | None" = None) -> list[str]:
     """Unlink stranded segments carrying ``prefix`` (default: this process's).
 
-    An orphan is a segment that exists on disk but is not currently
-    adopted: its publisher died (or was torn down) between publish and
-    delivery, so no finalizer will ever release it.  Call only while no
-    request is in flight on the owning pool -- an in-flight descriptor's
-    segment looks exactly like an orphan until the parent adopts it.
-    Returns the names swept; silently does nothing where shared memory is
-    not file-backed.
+    Adoption unlinks a segment's name, so any segment under the prefix
+    still on disk is an orphan: its publisher died (or was torn down)
+    between publish and delivery.  Call only while no request is in flight
+    on the owning pool -- an in-flight descriptor's segment looks exactly
+    like an orphan until the parent adopts it.  Returns the names swept;
+    silently does nothing where shared memory is not file-backed.
     """
     prefix = prefix or default_prefix()
     try:
@@ -319,7 +285,7 @@ def sweep_orphans(prefix: "str | None" = None) -> list[str]:
         return []
     swept: list[str] = []
     for entry in entries:
-        if entry.startswith(prefix) and entry not in _ADOPTED:
+        if entry.startswith(prefix):
             try:
                 os.unlink(os.path.join(_SHM_DIR, entry))
             except OSError:  # pragma: no cover - raced with another release

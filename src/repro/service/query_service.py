@@ -60,6 +60,7 @@ from repro.diffusion.friending_process import (
     AcceptanceEstimate,
     estimate_acceptance_probability,
 )
+from repro.experiments.records import to_jsonable
 from repro.exceptions import (
     ServiceClosedError,
     ServiceError,
@@ -276,6 +277,14 @@ class ServiceMetrics:
         if self.samples_served <= 0:
             return 0.0
         return max(0.0, 1.0 - self.samples_drawn / self.samples_served)
+
+    def as_dict(self) -> dict:
+        """The ``stats`` payload: every counter plus the two rates."""
+        return {
+            **{k: v for k, v in to_jsonable(self).items() if k != "__type__"},
+            "coalesce_rate": self.coalesce_rate,
+            "pool_hit_rate": self.pool_hit_rate,
+        }
 
 
 def serving_engine(

@@ -89,8 +89,10 @@ __all__ = [
 #: Recognised ``priority`` envelope values, most urgent first.
 PRIORITIES = ("high", "normal", "low")
 
-#: Default per-connection in-flight window (the stdin loop's pipelining
-#: depth, applied per remote client).
+#: Default in-flight request window: per connection with --listen, and the
+#: stdin loop's pipelining depth when --max-in-flight is not given -- enough
+#: for duplicates to meet in flight and coalesce, small enough that
+#: in-order responses are not held back long behind a slow request.
 DEFAULT_CONNECTION_WINDOW = 32
 
 #: Per-connection read limit: a request line (or HTTP header block) larger
@@ -385,13 +387,8 @@ class QueryServer:
         tenants = {}
         for name in sorted(self._tenants):
             tenant = self._tenants[name]
-            metrics = tenant.service.metrics()
-            jsonable = to_jsonable(metrics)
-            jsonable.pop("__type__", None)
-            jsonable["coalesce_rate"] = metrics.coalesce_rate
-            jsonable["pool_hit_rate"] = metrics.pool_hit_rate
             tenants[name] = {
-                **jsonable,
+                **tenant.service.metrics().as_dict(),
                 "server_requests": tenant.requests,
                 "budget_rejected": tenant.budget_rejected,
                 "tokens": None if tenant.bucket is None else tenant.bucket.tokens,
@@ -528,16 +525,14 @@ class QueryServer:
         """Run one admitted query; the in-flight count spans the await."""
         self._inflight += 1
         try:
-            call = tenant.service.submit_async(query)
-            if deadline_s is not None:
-                return await asyncio.wait_for(call, timeout=deadline_s)
-            return await call
+            async with asyncio.timeout(deadline_s):
+                return await tenant.service.submit_async(query)
         finally:
             self._inflight -= 1
 
     def _error_payload(self, error: BaseException) -> tuple[str, str]:
         """Map an execution/admission failure to ``(error_type, message)``."""
-        if isinstance(error, (asyncio.TimeoutError, TimeoutError)):
+        if isinstance(error, TimeoutError):
             self._counters.deadline_expired_total += 1
             return "deadline", "deadline expired before the execution finished"
         if isinstance(error, ServiceBudgetExceededError):
@@ -551,6 +546,17 @@ class QueryServer:
         if isinstance(error, ReproError):
             return "domain", str(error)
         raise error
+
+    def _response(self, envelope: _Envelope, result=None, error: BaseException | None = None):
+        """The response object of an admitted (or refused) request, both wire modes."""
+        if error is None:
+            payload = {"ok": True, "op": envelope.op, "result": to_jsonable(result)}
+        else:
+            error_type, message = self._error_payload(error)
+            payload = {"ok": False, "op": envelope.op, "error": message, "error_type": error_type}
+        if envelope.has_id:
+            payload["id"] = envelope.id
+        return payload
 
     # ------------------------------------------------------------------ #
     # Connection handling
@@ -604,7 +610,9 @@ class QueryServer:
         ``stats`` rides the same queue, so it is a per-connection barrier:
         its counters cover every request answered before it.  A malformed
         line is answered after all pending responses, then the connection
-        closes.
+        closes.  A writer that ends while the reader still reads (a dead
+        client makes a write raise) cancels the session, so the reader
+        never waits on a window slot that no one will release.
         """
         queue: deque[tuple[str, _Envelope | None, object]] = deque()
         arrived = asyncio.Event()  # writer wake-up: queue became non-empty
@@ -620,121 +628,99 @@ class QueryServer:
                     return
                 if kind == "stats":
                     payload = {"ok": True, "op": "stats", "result": self.stats()}
-                elif kind == "malformed":
-                    await self._write_line(writer, value)
-                    return
-                elif kind == "refused":
-                    error_type, message = value
-                    payload = {"ok": False, "op": envelope.op,
-                               "error": message, "error_type": error_type}
-                else:  # kind == "query": value is the execution task
+                elif kind == "query":  # value is the execution task
                     try:
-                        result = await value
-                    except BaseException as error:  # noqa: BLE001 - mapped below
-                        error_type, message = self._error_payload(error)
-                        payload = {"ok": False, "op": envelope.op,
-                                   "error": message, "error_type": error_type}
-                    else:
-                        payload = {"ok": True, "op": envelope.op,
-                                   "result": to_jsonable(result)}
+                        payload = self._response(envelope, await value)
+                    except BaseException as error:  # noqa: BLE001 - mapped
+                        payload = self._response(envelope, error=error)
                     window.release()
-                if envelope is not None and envelope.has_id:
-                    payload["id"] = envelope.id
+                else:  # kind == "line": a refusal or malformed answer, prebuilt
+                    payload = value
                 await self._write_line(writer, payload)
 
         def enqueue(kind: str, envelope: _Envelope | None, value: object) -> None:
             queue.append((kind, envelope, value))
             arrived.set()
 
+        session = asyncio.current_task()
+        reading = True
+        aborted = False
+
+        def abort(_flusher: asyncio.Future) -> None:
+            nonlocal aborted
+            if reading:
+                aborted = True
+                session.cancel()
+
         flusher = asyncio.ensure_future(writer_loop())
+        flusher.add_done_callback(abort)
         try:
-            await self._jsonl_read_loop(first, reader, window, flusher, enqueue)
+            try:
+                await self._jsonl_read_loop(first, reader, window, enqueue)
+            except asyncio.CancelledError:
+                # Only the writer's own abort ends here; a cancel from
+                # outside (aclose) must still propagate.
+                if not aborted or session.uncancel():
+                    raise
+            finally:
+                reading = False
             await flusher
         finally:
             flusher.cancel()
             # A vanished client must not leave orphaned tasks logging
             # "exception was never retrieved": detach and silence them (the
             # underlying executions still finish and warm the pool).
-            for kind, _, value in queue:
-                if kind == "query":
-                    value.cancel()
-            for task in (flusher, *(v for k, _, v in queue if k == "query")):
+            tasks = [value for kind, _, value in queue if kind == "query"]
+            for task in tasks:
+                task.cancel()
+            for task in (flusher, *tasks):
                 try:
                     await task
                 except BaseException:  # noqa: BLE001 - deliberately silenced
                     pass
             queue.clear()
 
-    async def _jsonl_read_loop(self, first, reader, window, flusher, enqueue) -> None:
-        line: bytes | None = first
+    async def _jsonl_read_loop(self, first, reader, window, enqueue) -> None:
+        def malformed(message: str) -> None:
+            enqueue("line", None, self._malformed_payload(message))
+            enqueue("eof", None, None)
+
+        line = first
         while True:
-            if line is None:
-                read = asyncio.ensure_future(reader.readline())
-                # A dead writer (client stopped reading responses, then
-                # closed) must abort the session, not deadlock the reader.
-                await asyncio.wait({read, flusher}, return_when=asyncio.FIRST_COMPLETED)
-                if flusher.done():
-                    read.cancel()
-                    try:
-                        await read
-                    except BaseException:  # noqa: BLE001 - connection is over
-                        pass
-                    return
-                try:
-                    line = await read
-                except (asyncio.LimitOverrunError, ValueError):
-                    enqueue("malformed",
-                            None, self._malformed_payload("request line too long"))
-                    return
             if not line:
                 enqueue("eof", None, None)
                 return
             text = line.decode("utf-8", errors="replace").strip()
-            line = None
-            if not text:
-                continue
-            try:
-                request = json.loads(text)
-            except json.JSONDecodeError as error:
-                enqueue("malformed", None,
-                        self._malformed_payload(f"invalid JSON ({error})"))
-                return
-            if not isinstance(request, dict):
-                enqueue("malformed", None,
-                        self._malformed_payload("expected a JSON object"))
-                return
-            try:
-                envelope = self._parse_envelope(request)
-            except _Malformed as error:
-                enqueue("malformed", None, self._malformed_payload(str(error)))
-                return
-            if envelope.op == "stats":
-                enqueue("stats", envelope, None)
-                continue
-            # Backpressure: hold a window slot before admitting.  The
-            # acquire races the writer so a dead client (writer errored
-            # out) aborts the session instead of deadlocking the reader.
-            acquire = asyncio.ensure_future(window.acquire())
-            await asyncio.wait({acquire, flusher}, return_when=asyncio.FIRST_COMPLETED)
-            if not acquire.done() or flusher.done():
-                acquire.cancel()
+            if text:
                 try:
-                    await acquire
-                except BaseException:  # noqa: BLE001 - connection is over
-                    pass
-                return
+                    request = json.loads(text)
+                except json.JSONDecodeError as error:
+                    return malformed(f"invalid JSON ({error})")
+                if not isinstance(request, dict):
+                    return malformed("expected a JSON object")
+                try:
+                    envelope = self._parse_envelope(request)
+                except _Malformed as error:
+                    return malformed(str(error))
+                if envelope.op == "stats":
+                    enqueue("stats", None, None)
+                else:
+                    await window.acquire()  # backpressure: hold a slot first
+                    try:
+                        tenant, query = self._admit(envelope, request)
+                    except _Malformed as error:
+                        window.release()
+                        return malformed(str(error))
+                    except ServiceError as error:
+                        window.release()
+                        enqueue("line", None, self._response(envelope, error=error))
+                    else:
+                        execution = self._execute(tenant, query, envelope.deadline_s)
+                        enqueue("query", envelope, asyncio.ensure_future(execution))
             try:
-                tenant, query = self._admit(envelope, request)
-            except _Malformed as error:
-                window.release()
-                enqueue("malformed", None, self._malformed_payload(str(error)))
-                return
-            except ServiceError as error:
-                window.release()
-                enqueue("refused", envelope, self._error_payload(error))
-                continue
-            enqueue("query", envelope,
-                    asyncio.ensure_future(self._execute(tenant, query, envelope.deadline_s)))
+                line = await reader.readline()
+            except (asyncio.LimitOverrunError, ValueError):
+                return malformed("request line too long")
 
     async def _write_line(self, writer: asyncio.StreamWriter, payload: dict) -> None:
         writer.write(json.dumps(payload, sort_keys=True).encode() + b"\n")
@@ -848,16 +834,9 @@ class QueryServer:
         except _Malformed as error:
             return 400, self._malformed_payload(str(error))
         except BaseException as error:  # noqa: BLE001 - mapped below
-            error_type, message = self._error_payload(error)
-            payload = {"ok": False, "op": envelope.op,
-                       "error": message, "error_type": error_type}
-            if envelope.has_id:
-                payload["id"] = envelope.id
-            return _ERROR_STATUS[error_type], payload
-        payload = {"ok": True, "op": envelope.op, "result": to_jsonable(result)}
-        if envelope.has_id:
-            payload["id"] = envelope.id
-        return 200, payload
+            payload = self._response(envelope, error=error)
+            return _ERROR_STATUS[payload["error_type"]], payload
+        return 200, self._response(envelope, result)
 
     async def _http_reply(
         self,

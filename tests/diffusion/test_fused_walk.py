@@ -219,11 +219,10 @@ class TestOneWalkLive:
 
 
 class TestSplit:
-    def test_parts_view_the_batch_unless_copied(self, settings_by_layout):
+    def test_parts_view_the_batch(self, settings_by_layout):
         graph, target, stop = settings_by_layout[("ba", "memory")]
         batch = create_engine(graph, "numpy").sample_path_batch(target, stop, 50, rng=2)
-        for copy in (False, True):
-            parts = batch.split([20, 0, 30], copy=copy)
-            assert [len(part) for part in parts] == [20, 0, 30]
-            assert _columns(PathBatch.concat(parts)) == _columns(batch)
-            assert np.shares_memory(parts[2].node_indices, batch.node_indices) is not copy
+        parts = batch.split([20, 0, 30])
+        assert [len(part) for part in parts] == [20, 0, 30]
+        assert _columns(PathBatch.concat(parts)) == _columns(batch)
+        assert np.shares_memory(parts[2].node_indices, batch.node_indices)

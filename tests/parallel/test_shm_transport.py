@@ -6,10 +6,11 @@ Three load-bearing properties:
   shm wire are byte-for-byte the pickled ones, for every engine and worker
   count, and the whole layer degrades to pickling when shared memory is
   unavailable (monkeypatched away here) or a segment cannot be created.
-* **Lifecycle** -- every published segment is unlinked exactly once: on
-  adoption-batch garbage collection in the common case, by the orphan
-  sweep (``ParallelEngine.close()`` / ``atexit``) when a worker died
-  between publish and delivery.  Nothing may survive in ``/dev/shm``.
+* **Lifecycle** -- every published segment is unlinked exactly once: at
+  adoption in the common case (the mapping then lives as long as any
+  column viewing it), by the orphan sweep (``ParallelEngine.close()`` /
+  ``atexit``) when a worker died between publish and delivery.  Nothing
+  may survive in ``/dev/shm``.
 * **Fork inheritance** -- workers receive the compiled CSR snapshot by
   forking, never by pickle: task payloads and result batches must stay
   free of snapshot array buffers (poisoning ``CompiledGraph`` pickling
@@ -18,8 +19,10 @@ Three load-bearing properties:
 
 from __future__ import annotations
 
-import gc
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -106,18 +109,42 @@ class TestPublishAdopt:
         )
         assert adopted.attach(engine.compiled).to_paths() == batch.to_paths()
 
-    def test_segment_unlinked_when_batch_collected(self, graph, pair):
+    def test_segment_unlinked_at_adopt(self, graph, pair):
         source, target = pair
         engine = create_engine(graph, "numpy")
         batch = engine.sample_path_batch(target, graph.neighbor_set(source), 64, rng=7)
         ref = shm_transport.publish_batch(batch)
-        adopted = shm_transport.adopt(ref)
-        assert ref.name in shm_transport.live_segments()
         assert _segment_on_disk(ref.name)
-        del adopted
-        gc.collect()
-        assert ref.name not in shm_transport.live_segments()
+        adopted = shm_transport.adopt(ref)
         assert not _segment_on_disk(ref.name)
+        assert adopted.attach(engine.compiled).to_paths() == batch.to_paths()
+
+    def test_split_view_outlives_the_adopted_batch(self):
+        """A part's column keeps the mapping alive after its batch is gone.
+
+        Runs in a subprocess: a column over unmapped pages segfaults, and
+        that must fail this test rather than kill the test run.
+        """
+        script = textwrap.dedent(
+            """
+            import gc
+            import numpy as np
+            from repro.diffusion.path_batch import PathBatch
+            from repro.parallel import shm
+
+            offsets = np.arange(0, 3001, 3, dtype=np.int64)
+            nodes = np.arange(3000, dtype=np.int64)
+            flags = np.zeros(1000, dtype=bool)
+            batch = shm.adopt(shm.publish_batch(PathBatch(offsets, nodes, flags, flags * 0)))
+            column = batch.split([500, 500])[1].node_indices
+            del batch
+            gc.collect()
+            assert int(column.sum()) == int(nodes[1500:].sum())
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60)
+        assert done.returncode == 0
 
     def test_empty_batch_round_trips(self, graph, pair):
         source, target = pair
@@ -127,8 +154,6 @@ class TestPublishAdopt:
         assert ref is not None and ref.num_paths == 0
         adopted = shm_transport.adopt(ref)
         assert len(adopted) == 0
-        del adopted
-        gc.collect()
         assert not _segment_on_disk(ref.name)
 
     def test_segment_creation_failure_falls_back_to_pickle(self, graph, pair, monkeypatch):
@@ -168,17 +193,13 @@ class TestOrphanSweep:
         assert segment.name in swept
         assert not _segment_on_disk(segment.name)
 
-    def test_sweep_spares_adopted_segments(self, graph, pair):
+    def test_adopted_columns_survive_a_sweep(self, graph, pair):
         source, target = pair
         engine = create_engine(graph, "numpy")
         batch = engine.sample_path_batch(target, graph.neighbor_set(source), 32, rng=9)
-        ref = shm_transport.publish_batch(batch)
-        adopted = shm_transport.adopt(ref)
-        assert ref.name not in shm_transport.sweep_orphans()
-        assert _segment_on_disk(ref.name)
-        del adopted
-        gc.collect()
-        assert not _segment_on_disk(ref.name)
+        adopted = shm_transport.adopt(shm_transport.publish_batch(batch))
+        shm_transport.sweep_orphans()
+        assert adopted.attach(engine.compiled).to_paths() == batch.to_paths()
 
     def test_sweep_ignores_foreign_prefixes(self):
         # Another live process's segments must never be touched: the sweep

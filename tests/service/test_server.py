@@ -5,24 +5,28 @@ the gate-blocked engine (a request is *provably* in flight because its
 sampling call is blocked inside the engine), budgets run on an injected
 fake clock, and byte-identity is asserted against standalone fresh-pool
 runs -- never against another timing-dependent arm.  The only real time
-used is the deadline test's ``wait_for`` timeout, whose *outcome* is
-forced (the gate never releases before expiry), not raced.
+used is the deadline tests' timer, whose *outcome* is forced (the gate
+never releases before expiry), not raced, and the watchdogs that turn a
+hang into a failure.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import socket
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.diffusion.engine import create_engine
 from repro.exceptions import ServiceClosedError, ServiceError
 from repro.parallel.engine import ParallelEngine, fork_available
 from repro.service.loadgen import query_to_wire, run_standalone
 from repro.service.query_service import EvaluateQuery, MaximizeQuery, PmaxQuery
-from repro.service.server import QueryServer, TokenBucket, serve_forever
+from repro.service.server import PRIORITIES, QueryServer, TokenBucket, serve_forever
 
 POOL_SEED = 91
 
@@ -702,3 +706,144 @@ class TestDegradedMode:
         pool = run(main())
         assert pool._fault_plan is plan
         assert plan.injected(SITE_SPILL_IO) == 0  # nothing spilled yet
+
+
+#: Every line the fuzz below writes is one of these shapes: arbitrary bytes
+#: (invalid UTF-8 included), a JSON non-object, an unknown op, or a hot
+#: query whose envelope fields are replaced by hostile values.
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)
+)
+_ENVELOPES = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": st.one_of(_JSON_SCALARS, st.lists(st.integers(), max_size=2)),
+        "tenant": st.one_of(_JSON_SCALARS, st.text(min_size=60, max_size=70)),
+        "priority": st.one_of(st.sampled_from(PRIORITIES), _JSON_SCALARS),
+        "deadline_ms": st.one_of(_JSON_SCALARS, st.floats(min_value=1e3, max_value=6e4)),
+        "extra": _JSON_SCALARS,
+    },
+)
+
+
+def _wire_lines(queries):
+    requests = [query_to_wire(query) for query in queries] + [{"op": "stats"}]
+    known = {request["op"] for request in requests}
+    return st.one_of(
+        st.binary(max_size=24).map(lambda raw: raw.replace(b"\n", b"")),
+        st.one_of(_JSON_SCALARS, st.lists(st.integers(), max_size=3)).map(
+            lambda value: json.dumps(value).encode()
+        ),
+        st.text(max_size=10)
+        .filter(lambda op: op not in known)
+        .map(lambda op: json.dumps({"op": op}).encode()),
+        st.builds(
+            lambda request, envelope: json.dumps({**request, **envelope}).encode(),
+            st.sampled_from(requests),
+            _ENVELOPES,
+        ),
+    )
+
+
+class TestSession:
+    """The JSON-lines session's lifecycle: abort, task budget, hostile lines."""
+
+    def test_dead_client_aborts_the_session(self, service_graph, wire_queries, monkeypatch):
+        """A writer that cannot deliver must end the session even while the
+        reader waits on a full window, or the connection hangs forever."""
+
+        async def dead_client(self, writer, payload):
+            raise ConnectionResetError("client stopped reading")
+
+        monkeypatch.setattr(QueryServer, "_write_line", dead_client)
+
+        async def main():
+            async with QueryServer(
+                service_graph, seed=POOL_SEED, connection_window=2
+            ) as server:
+                reader, writer = await _connect(server)
+                line = json.dumps(query_to_wire(wire_queries[0])).encode() + b"\n"
+                writer.write(line * 5)
+                await writer.drain()
+                trailing = await asyncio.wait_for(reader.read(), 10.0)
+                writer.close()
+                while server.stats()["server"]["active_connections"]:
+                    await asyncio.sleep(0.01)
+                return trailing
+
+        assert run(main(), timeout=30.0) == b""
+
+    def test_one_task_per_admitted_request(self, service_graph, wire_queries):
+        """Reading, windowing and deadlines cost no task of their own."""
+        requests = 64
+        created = 0
+
+        def counting_factory(loop, coro, **kwargs):
+            nonlocal created
+            created += 1
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        async def main():
+            async with QueryServer(service_graph, seed=POOL_SEED) as server:
+                warm = await _connect(server)
+                await _rpc(warm, query_to_wire(wire_queries[0]))
+                await _close(warm)
+                asyncio.get_running_loop().set_task_factory(counting_factory)
+                reader, writer = await _connect(server)
+                for index in range(requests):
+                    deadline = {"deadline_ms": 60_000} if index % 2 else {}
+                    wire = {**query_to_wire(wire_queries[0]), "id": index, **deadline}
+                    writer.write(json.dumps(wire).encode() + b"\n")
+                await writer.drain()
+                responses = [json.loads(await reader.readline()) for _ in range(requests)]
+                writer.close()
+                return responses, created
+
+        responses, tasks = run(main())
+        assert [response["id"] for response in responses] == list(range(requests))
+        assert all(response["ok"] for response in responses)
+        # One execution task per request, plus the connection's accept,
+        # session and writer tasks.
+        assert tasks <= requests + 3
+
+    @settings(
+        max_examples=50,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_hostile_lines_are_answered_or_close_once(
+        self, service_graph, wire_queries, data
+    ):
+        lines = data.draw(st.lists(_wire_lines(wire_queries), min_size=1, max_size=4))
+        errors = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, context: errors.append(context))
+            async with QueryServer(service_graph, seed=POOL_SEED) as server:
+                reader, writer = await _connect(server)
+                writer.write(b"".join(line + b"\n" for line in lines))
+                writer.write_eof()
+                responses = [json.loads(line) async for line in reader]
+                writer.close()
+                while server.stats()["server"]["active_connections"]:
+                    await asyncio.sleep(0.01)
+                gc.collect()  # surfaces a never-retrieved task exception
+                status, health = await _http(server, "GET", "/healthz")
+                return responses, status, health
+
+        responses, status, health = run(main(), timeout=30.0)
+        assert not errors
+        assert status == 200 and health["ok"] is True
+        requests = [
+            line for line in lines if line.decode("utf-8", errors="replace").strip()
+        ]
+        kinds = [response.get("error_type") == "malformed" for response in responses]
+        if any(kinds):
+            # Exactly one malformed answer, after the ones before it.
+            assert kinds.index(True) == len(kinds) - 1
+            assert len(responses) <= len(requests)
+        else:
+            assert len(responses) == len(requests)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.graph import metrics
 from repro.graph.datasets import load_dataset
+from repro.graph.metrics import compute_stats
 from repro.graph.io import write_edge_list
 
 
@@ -108,6 +110,25 @@ class TestRafCommand:
         output = capsys.readouterr().out
         assert "Baselines at the same budget" in output
         assert "HD" in output and "SP" in output
+
+    def test_header_needs_no_components(self, capsys, monkeypatch):
+        """The header prints n, m and the average degree, never a BFS."""
+        stats = compute_stats(load_dataset("wiki", scale=0.04, rng=3))
+        expected = (
+            f"graph: {stats.num_nodes} users, {stats.num_edges} friendships, "
+            f"avg degree {stats.avg_degree:.2f}"
+        )
+
+        def refuse(graph):
+            raise AssertionError("the raf header must not count components")
+
+        monkeypatch.setattr(metrics, "connected_components", refuse)
+        code = main([
+            "--seed", "3", "raf", "--dataset", "wiki", "--scale", "0.04",
+            "--alpha", "0.2", "--realizations", "800", "--eval-samples", "100",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == expected
 
     def test_source_without_target_is_an_error(self, capsys):
         code = main(["raf", "--dataset", "wiki", "--scale", "0.04", "--source", "1"])
