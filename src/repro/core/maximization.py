@@ -123,7 +123,6 @@ def maximize_acceptance_probability(
             "the graph's familiarity weights are not normalized; apply a weight scheme first"
         )
 
-    generator = ensure_rng(rng)
     source_friends = graph.neighbor_set(source)
     if pool is not None:
         resolve_engine(graph, pool.engine)
@@ -137,7 +136,7 @@ def maximize_acceptance_probability(
     else:
         resolved = shared_engine(graph, engine, workers)
         paths, num_type1 = collect_type1(
-            resolved, target, source_friends, num_realizations, rng=generator
+            resolved, target, source_friends, num_realizations, rng=ensure_rng(rng)
         )
     if num_type1 == 0:
         raise AlgorithmError(

@@ -208,7 +208,6 @@ def estimate_pmax(
     are ignored in pool mode (the pool owns both engine and streams).
     """
     require_positive_int(max_samples, "max_samples")
-    generator = ensure_rng(rng)
     source_friends = graph.neighbor_set(source)
 
     if pool is not None:
@@ -224,6 +223,7 @@ def estimate_pmax(
 
     else:
         warm = None
+        generator = ensure_rng(rng)
         resolved = shared_engine(graph, engine, workers)
 
         def draw_batches(sizes: tuple) -> bytes:

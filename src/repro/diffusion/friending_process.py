@@ -105,10 +105,10 @@ def estimate_acceptance_probability(
     whether the pool is warm or cold.
     """
     require_positive_int(num_samples, "num_samples")
-    generator = ensure_rng(rng)
     invited = frozenset(invitation)
     if pool is not None:
         return _estimate_acceptance_pooled(graph, source, target, invited, num_samples, pool)
+    generator = ensure_rng(rng)
     if engine is not None:
         return _estimate_acceptance_reverse(
             graph, source, target, invited, num_samples, generator, engine, workers

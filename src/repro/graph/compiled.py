@@ -133,6 +133,10 @@ class _NodeIds(tuple):
         """Iterate over the node ids (``SocialGraph.nodes()`` compatibility)."""
         return iter(self)
 
+    def take(self, indices) -> list:
+        """The ids at dense ``indices``, as one list (the mapped twin's API)."""
+        return [self[i] for i in indices]
+
 
 class _MappedNodeIds:
     """Lazy node-id sequence over the memory-mapped ``nodes`` column.
@@ -816,10 +820,9 @@ class CompiledGraph:
         insertion order the source graph would report.
         """
         i = self.index_of(node)
-        lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
-        nodes = self.nodes
-        parents = self.parents
-        return (nodes[parents[j]] for j in range(lo, hi))
+        # One slice and one gather: a mapped column read per neighbour
+        # costs a memmap __getitem__ each.
+        return iter(self.nodes.take(self.parents[int(self.indptr[i]) : int(self.indptr[i + 1])]))
 
     def neighbor_set(self, node: NodeId) -> frozenset:
         """The current friends ``N_v`` of ``node`` as a frozenset."""

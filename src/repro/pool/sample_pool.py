@@ -438,6 +438,21 @@ class SamplePool:
         entry = self._entries.get(digest)
         return len(entry.store) if entry is not None else 0
 
+    def cached_type1(
+        self, target: NodeId, stop_set: Iterable[NodeId], stream: str, limit: int
+    ) -> int:
+        """The type-1 samples among this key's first ``min(limit, cached)``
+        in-memory samples.
+
+        A read-only count over the entry map as it stands: it creates no
+        entry, loads no spill, changes no counter and does not sync (call
+        :meth:`cached_count` first to drop keys a graph mutation invalidated).
+        """
+        entry = self._entries.get(pool_key_digest(target, stop_set, stream))
+        if entry is None:
+            return 0
+        return entry.store.type1_bytes(0, min(limit, len(entry.store))).count(1)
+
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         stats = self.stats()
         return (

@@ -60,8 +60,10 @@ from repro.diffusion.friending_process import (
     AcceptanceEstimate,
     estimate_acceptance_probability,
 )
+from repro.estimation.stopping_rule import stopping_rule_threshold
 from repro.experiments.records import to_jsonable
 from repro.exceptions import (
+    ReproError,
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
@@ -69,7 +71,7 @@ from repro.exceptions import (
 )
 from repro.graph.social_graph import SocialGraph
 from repro.parallel.engine import maybe_parallel
-from repro.pool.sample_pool import SamplePool
+from repro.pool.sample_pool import STREAM_EVAL, STREAM_PMAX, STREAM_REALIZATIONS, SamplePool
 from repro.diffusion.engine import SamplingEngine, resolve_engine
 from repro.types import NodeId
 from repro.utils.validation import require_positive, require_positive_int
@@ -124,6 +126,7 @@ class EvaluateQuery:
         require_positive_int(self.num_samples, "num_samples")
 
     def sample_cost(self) -> int:
+        """Samples this query consumes (its admission cost)."""
         return self.num_samples
 
 
@@ -143,6 +146,7 @@ class MaximizeQuery:
         require_positive_int(self.num_realizations, "num_realizations")
 
     def sample_cost(self) -> int:
+        """Realizations this query consumes (its admission cost)."""
         return self.num_realizations
 
 
@@ -517,6 +521,41 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # The front-ends
     # ------------------------------------------------------------------ #
+
+    def draw_free(self, query) -> bool:
+        """Whether answering ``query`` now draws nothing: the pool holds its samples.
+
+        False while an execution holds the pool or an equal query is in
+        flight, since submitting then would wait.  Otherwise an evaluate or
+        maximize query needs its fixed sample count cached, and a pmax query
+        needs ``max_samples`` cached or, among the first ``max_samples``
+        cached samples, as many type-1 samples as the stopping rule's
+        threshold: the rule then halts inside the cache.  A query that
+        cannot be checked (unknown node, invalid ``epsilon``) is not
+        draw-free.  The answer is a snapshot: a thread that takes the pool
+        or evicts the key before :meth:`submit` makes that submission wait
+        or draw, never answer differently.
+        """
+        if not isinstance(query, _QUERY_TYPES) or query in self._inflight:
+            return False
+        if not self._pool_lock.acquire(blocking=False):
+            return False
+        try:
+            pool, target = self._pool, query.target
+            stop = self._graph.neighbor_set(query.source)
+            if isinstance(query, EvaluateQuery):
+                return pool.cached_count(target, stop, STREAM_EVAL) >= query.num_samples
+            if isinstance(query, MaximizeQuery):
+                cached = pool.cached_count(target, stop, STREAM_REALIZATIONS)
+                return cached >= query.num_realizations
+            if pool.cached_count(target, stop, STREAM_PMAX) >= query.max_samples:
+                return True
+            threshold = stopping_rule_threshold(query.epsilon, 1.0 / query.confidence_n)
+            return pool.cached_type1(target, stop, STREAM_PMAX, query.max_samples) >= threshold
+        except ReproError:
+            return False
+        finally:
+            self._pool_lock.release()
 
     def submit(self, query) -> object:
         """Answer one query, blocking until the result is available.

@@ -50,16 +50,19 @@ description):
   execution slots are busy, keeping headroom for the rest.
 
 Determinism: the server adds scheduling, never randomness.  Every admitted
-query is answered through ``QueryService.submit_async``, so answers remain
-byte-identical to standalone runs regardless of client count, interleaving,
-tenancy or transport -- the socket arm of ``bench_service_load`` asserts
-exactly that.
+query is answered through ``QueryService.submit``: on the event loop when
+the tenant's pool already holds its samples (``QueryService.draw_free``;
+such an answer cannot be late, so it ignores deadlines), on the service's
+executor otherwise.  Answers remain byte-identical to standalone runs
+regardless of client count, interleaving, tenancy or transport -- the
+socket arm of ``bench_service_load`` asserts exactly that.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import math
 import re
 import time
 from collections import deque
@@ -477,8 +480,8 @@ class QueryServer:
         if "deadline_ms" in request:
             deadline_ms = request.pop("deadline_ms")
             if not isinstance(deadline_ms, (int, float)) or isinstance(deadline_ms, bool) \
-                    or deadline_ms <= 0:
-                raise _Malformed("deadline_ms must be a positive number")
+                    or not math.isfinite(deadline_ms) or deadline_ms <= 0:
+                raise _Malformed("deadline_ms must be a positive finite number")
             deadline_s = deadline_ms / 1000.0
         return _Envelope(
             op=op, id=request_id, tenant=tenant, priority=priority,
@@ -521,8 +524,25 @@ class QueryServer:
             )
         return tenant, query
 
+    def _start(self, tenant: _Tenant, query, deadline_s: float | None):
+        """Begin one admitted query; the result is awaitable and needs no task.
+
+        A draw-free query is answered here, on the event loop, into a done
+        future: no executor hop, and no deadline, since nothing can be
+        late.  Any other query is the :meth:`_execute` coroutine.
+        """
+        service = tenant.service
+        if not service.draw_free(query):
+            return self._execute(tenant, query, deadline_s)
+        answer = asyncio.get_running_loop().create_future()
+        try:
+            answer.set_result(service.submit(query))
+        except Exception as error:  # noqa: BLE001 - mapped by the awaiting side
+            answer.set_exception(error)
+        return answer
+
     async def _execute(self, tenant: _Tenant, query, deadline_s: float | None):
-        """Run one admitted query; the in-flight count spans the await."""
+        """Run one admitted query on the executor; the in-flight count spans the await."""
         self._inflight += 1
         try:
             async with asyncio.timeout(deadline_s):
@@ -628,7 +648,7 @@ class QueryServer:
                     return
                 if kind == "stats":
                     payload = {"ok": True, "op": "stats", "result": self.stats()}
-                elif kind == "query":  # value is the execution task
+                elif kind == "query":  # value is the execution task or done future
                     try:
                         payload = self._response(envelope, await value)
                     except BaseException as error:  # noqa: BLE001 - mapped
@@ -715,7 +735,7 @@ class QueryServer:
                         window.release()
                         enqueue("line", None, self._response(envelope, error=error))
                     else:
-                        execution = self._execute(tenant, query, envelope.deadline_s)
+                        execution = self._start(tenant, query, envelope.deadline_s)
                         enqueue("query", envelope, asyncio.ensure_future(execution))
             try:
                 line = await reader.readline()
@@ -830,7 +850,7 @@ class QueryServer:
             return 200, {"ok": True, "op": "stats", "result": self.stats()}
         try:
             tenant, query = self._admit(envelope, request)
-            result = await self._execute(tenant, query, envelope.deadline_s)
+            result = await self._start(tenant, query, envelope.deadline_s)
         except _Malformed as error:
             return 400, self._malformed_payload(str(error))
         except BaseException as error:  # noqa: BLE001 - mapped below

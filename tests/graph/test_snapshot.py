@@ -105,6 +105,20 @@ class TestSaveOpen:
         assert type(mapped.node_at(0)) is int
         assert all(type(node) is int for node in mapped.neighbors(mapped.nodes[0]))
 
+    @pytest.mark.parametrize("backing", ["in-memory", "mapped", "loaded"])
+    def test_neighbors_match_the_source_graph_in_order_and_type(self, snapshot, backing):
+        graph, path = snapshot
+        compiled = {
+            "in-memory": lambda: compile_graph(graph),
+            "mapped": lambda: CompiledGraph.open(path),
+            "loaded": lambda: CompiledGraph.open(path, mmap=False),
+        }[backing]()
+        for node in graph.nodes():
+            friends = list(compiled.neighbors(node))
+            assert friends == list(graph.neighbors(node))
+            assert all(type(friend) is int for friend in friends)
+            assert compiled.neighbor_set(node) == graph.neighbor_set(node)
+
     def test_compat_surface_matches_source_graph(self, snapshot):
         graph, path = snapshot
         mapped = CompiledGraph.open(path)

@@ -220,6 +220,42 @@ class TestEvictionAndBudget:
         assert stats.drawn_paths == pool.chunk_size  # one chunk, drawn once
 
 
+class TestCachedType1:
+    def test_counts_type1_in_the_cached_prefix_up_to_the_limit(self, setting):
+        graph, target, stop = setting
+        pool = SamplePool(create_engine(graph, "python"), seed=5, chunk_size=256)
+        indicators = pool.type1_indicators(target, stop, 600, stream=STREAM_PMAX)
+        cached = pool.cached_count(target, stop, STREAM_PMAX)
+        assert cached == 768  # three whole chunks
+        prefix = pool.type1_indicators(target, stop, cached, stream=STREAM_PMAX)
+        assert prefix[:600] == indicators
+        for limit in (1, 300, 600, cached, 10 * cached):
+            assert pool.cached_type1(target, stop, STREAM_PMAX, limit) == sum(prefix[:limit])
+
+    def test_is_read_only(self, setting):
+        graph, target, stop = setting
+        pool = SamplePool(create_engine(graph, "python"), seed=5)
+        pool.paths(target, stop, 10, stream=STREAM_PMAX)
+        before = pool.stats()
+        assert pool.cached_type1(target, stop, STREAM_EVAL, 100) == 0  # cold stream
+        assert pool.cached_type1(target, stop, STREAM_PMAX, 100) >= 0
+        assert pool.stats() == before
+
+    def test_a_spilled_key_counts_zero_and_stays_on_disk(self, graph, tmp_path):
+        nodes = graph.node_list()
+        stop = graph.neighbor_set(nodes[0])
+        pool = SamplePool(
+            create_engine(graph, "python"), seed=5, max_targets=1, spill_dir=tmp_path
+        )
+        pool.paths(nodes[5], stop, 100, stream=STREAM_PMAX)
+        pool.paths(nodes[6], stop, 100, stream=STREAM_PMAX)  # spills the first key
+        before = pool.stats()
+        assert before.spills == 1
+        assert pool.cached_type1(nodes[5], stop, STREAM_PMAX, 100) == 0
+        assert pool.cached_count(nodes[5], stop, STREAM_PMAX) == 0
+        assert pool.stats() == before  # no load, no new entry
+
+
 class TestSpill:
     def test_spill_and_reload_round_trip(self, graph, tmp_path):
         nodes = graph.node_list()

@@ -15,14 +15,21 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro.core.maximization as maximization_module
+import repro.core.raf as raf_module
+import repro.diffusion.friending_process as friending_module
 from repro.core.raf import estimate_pmax
 from repro.diffusion.engine import create_engine
 from repro.exceptions import (
     AlgorithmError,
     EngineError,
+    ReproError,
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
@@ -31,7 +38,7 @@ from repro.exceptions import (
 from repro.faults import FaultPlan
 from repro.graph.generators import barabasi_albert_graph
 from repro.parallel.engine import ParallelEngine, fork_available
-from repro.pool.sample_pool import SamplePool
+from repro.pool.sample_pool import STREAM_EVAL, STREAM_PMAX, STREAM_REALIZATIONS, SamplePool
 from repro.service import (
     EvaluateQuery,
     MaximizeQuery,
@@ -40,9 +47,14 @@ from repro.service import (
     canonical_result,
     run_standalone,
 )
-from repro.service.query_service import serving_engine
+from repro.service.query_service import execute_query, serving_engine
 
 POOL_SEED = 55
+
+
+@pytest.fixture(scope="module")
+def numpy_engine(service_graph):
+    return create_engine(service_graph, "numpy")
 
 
 def _queries(pair):
@@ -469,3 +481,128 @@ class TestQueryValidation:
         assert EvaluateQuery(0, 1, invitation=[3, 2, 3]) == EvaluateQuery(
             0, 1, invitation=frozenset({2, 3})
         )
+
+
+_STREAMS = {"pmax": STREAM_PMAX, "evaluate": STREAM_EVAL, "maximize": STREAM_REALIZATIONS}
+
+
+@st.composite
+def _draw_free_cases(draw):
+    """A query of any kind, plus how many samples of which stream to warm first."""
+    kind = draw(st.sampled_from(sorted(_STREAMS)))
+    if kind == "pmax":
+        query = PmaxQuery(
+            0, 0,
+            epsilon=draw(st.sampled_from([0.3, 0.5, 1.0])),
+            confidence_n=draw(st.sampled_from([20.0, 50.0, 1000.0])),
+            # Small caps are met by any warm chunk (cached >= max_samples).
+            max_samples=draw(st.one_of(st.integers(1, 64), st.integers(65, 5_000))),
+        )
+    elif kind == "evaluate":
+        query = EvaluateQuery(0, 0, num_samples=draw(st.integers(1, 3_000)))
+    else:
+        query = MaximizeQuery(0, 0, budget=2, num_realizations=draw(st.integers(1, 3_000)))
+    warm = draw(st.sampled_from([0, 1, 1_000, 1_025, 2_048, 3_000]))
+    # Mostly the query's own stream; sometimes another kind's, which is cold.
+    stream = _STREAMS[draw(st.sampled_from([kind, kind, kind, *sorted(_STREAMS)]))]
+    return query, warm, stream
+
+
+class TestDrawFree:
+    """``draw_free`` is exact: True iff executing the query draws nothing."""
+
+    @settings(
+        max_examples=80,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=_draw_free_cases())
+    def test_true_exactly_when_execution_draws_nothing(
+        self, service_graph, hot_pair, numpy_engine, case
+    ):
+        blank, warm, stream = case
+        source, target = hot_pair
+        query = replace(blank, source=source, target=target)
+        service = QueryService(service_graph, engine=numpy_engine, seed=POOL_SEED)
+        if warm:
+            service.pool.paths(target, service_graph.neighbor_set(source), warm, stream=stream)
+        predicted = service.draw_free(query)
+        drawn = service.pool.drawn_paths
+        try:
+            service.submit(query)
+        except ReproError:
+            pass  # e.g. a capped pmax that saw no type-1 sample
+        assert predicted == (service.pool.drawn_paths == drawn)
+
+    def test_an_evicted_key_is_not_draw_free(self, service_graph, hot_pair, numpy_engine):
+        source, target = hot_pair
+        query = EvaluateQuery(source, target, num_samples=500)
+        other = MaximizeQuery(source, target, budget=2, num_realizations=500)
+        service = QueryService(
+            service_graph, engine=numpy_engine, seed=POOL_SEED, pool_budget=1_024
+        )
+        service.submit(query)
+        assert service.draw_free(query)
+        service.submit(other)  # over the budget: the evaluate key is evicted
+        assert not service.draw_free(query)
+        drawn = service.pool.drawn_paths
+        service.submit(query)
+        assert service.pool.drawn_paths > drawn
+
+    def test_false_while_the_pool_lock_is_held(self, service_graph, hot_pair, numpy_engine):
+        source, target = hot_pair
+        query = EvaluateQuery(source, target, num_samples=100)
+        service = QueryService(service_graph, engine=numpy_engine, seed=POOL_SEED)
+        service.submit(query)
+        with service.locked_pool():
+            assert not service.draw_free(query)
+        assert service.draw_free(query)
+
+    def test_false_while_an_equal_query_is_in_flight(
+        self, service_graph, hot_pair, gated_engine
+    ):
+        source, target = hot_pair
+        query = EvaluateQuery(source, target, num_samples=100)
+        warm = MaximizeQuery(source, target, budget=2, num_realizations=100)
+        with QueryService(service_graph, engine=gated_engine, seed=POOL_SEED) as service:
+            gated_engine.release.set()
+            service.submit(query)
+            gated_engine.release.clear()
+            leader = threading.Thread(target=service.submit, args=(warm,))
+            leader.start()
+            assert gated_engine.entered.wait(timeout=30.0)
+            # The blocked execution holds the pool lock, and `warm` is also
+            # in flight: either makes submitting wait.
+            assert not service.draw_free(query)
+            assert not service.draw_free(warm)
+            gated_engine.release.set()
+            leader.join(timeout=30.0)
+            assert not leader.is_alive()
+            assert service.draw_free(query) and service.draw_free(warm)
+            # Admitted but not yet at the pool: in flight with the lock free.
+            _, leading = service._claim(query)
+            assert leading and not service.draw_free(query)
+            with service._state_lock:  # retire the claim unexecuted
+                del service._inflight[query]
+                service._executing -= 1
+            assert service.draw_free(query)
+
+    def test_unsupported_and_unknown_queries_are_not_draw_free(self, service_graph):
+        with QueryService(service_graph, seed=POOL_SEED) as service:
+            assert not service.draw_free(object())
+            assert not service.draw_free(EvaluateQuery(-1, 0))
+
+
+class TestPooledEstimatorsNeedNoGenerator:
+    def test_pool_mode_never_builds_a_generator(
+        self, service_graph, hot_pair, numpy_engine, monkeypatch
+    ):
+        def refuse(rng=None):
+            raise AssertionError("pool mode must not coerce rng")
+
+        for module in (raf_module, friending_module, maximization_module):
+            monkeypatch.setattr(module, "ensure_rng", refuse)
+        pool = SamplePool(numpy_engine, seed=POOL_SEED)
+        for query in _queries(hot_pair):
+            execute_query(service_graph, query, pool)

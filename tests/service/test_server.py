@@ -16,6 +16,7 @@ import asyncio
 import gc
 import json
 import socket
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -256,6 +257,9 @@ class TestJsonlProtocol:
             b'{"op": "evaluate", "source": 1, "target": 2, "priority": "urgent"}\n',
             b'{"op": "evaluate", "source": 1, "target": 2, "deadline_ms": -5}\n',
             b'{"op": "evaluate", "source": 1, "target": 2, "deadline_ms": true}\n',
+            b'{"op": "evaluate", "source": 1, "target": 2, "deadline_ms": NaN}\n',
+            b'{"op": "evaluate", "source": 1, "target": 2, "deadline_ms": Infinity}\n',
+            b'{"op": "evaluate", "source": 1, "target": 2, "deadline_ms": 1e400}\n',
             b'{"op": "evaluate", "source": 1, "num_samples": 48}\n',
         ],
     )
@@ -743,6 +747,96 @@ def _wire_lines(queries):
             _ENVELOPES,
         ),
     )
+
+
+class CountingExecutor(ThreadPoolExecutor):
+    """A service executor that counts the calls handed to it."""
+
+    def __init__(self) -> None:
+        super().__init__(max_workers=2)
+        self.submissions = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submissions += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+def _count_executions(server: QueryServer, *tenants: str) -> dict:
+    """Install a counting executor on each named tenant's service."""
+    executors = {tenant: CountingExecutor() for tenant in tenants}
+    for tenant, executor in executors.items():
+        server.tenant_service(tenant)._executor = executor
+    return executors
+
+
+class TestDrawFreeAnswers:
+    """A request whose samples are pooled is answered on the event loop."""
+
+    def test_pipelined_hits_skip_the_executor_and_keep_request_order(
+        self, service_graph, wire_queries, standalone_answers
+    ):
+        pmax, evaluate, maximize = wire_queries
+        # Misses and hits on separate tenants, so no miss's execution holds
+        # the pool a hit reads: which request is a hit is a constructed fact.
+        order = [("cold", evaluate), ("warm", pmax), ("cold", maximize), ("warm", evaluate)]
+
+        async def main():
+            async with QueryServer(service_graph, seed=POOL_SEED) as server:
+                for query in (pmax, evaluate):
+                    server.tenant_service("warm").submit(query)
+                executors = _count_executions(server, "warm", "cold")
+                reader, writer = await _connect(server)
+                for index, (tenant, query) in enumerate(order):
+                    wire = {**query_to_wire(query), "tenant": tenant, "id": index}
+                    writer.write(json.dumps(wire).encode() + b"\n")
+                await writer.drain()
+                responses = [json.loads(await reader.readline()) for _ in order]
+                writer.close()
+                return responses, {name: e.submissions for name, e in executors.items()}
+
+        responses, submissions = run(main())
+        assert [response["id"] for response in responses] == [0, 1, 2, 3]
+        for (_, query), response in zip(order, responses):
+            assert response["ok"] is True
+            assert json.dumps(response["result"], sort_keys=True) == standalone_answers[query]
+        assert submissions == {"warm": 0, "cold": 2}
+
+    def test_a_hit_over_http_returns_the_same_body(
+        self, service_graph, wire_queries, standalone_answers
+    ):
+        query = wire_queries[0]
+
+        async def main():
+            async with QueryServer(service_graph, seed=POOL_SEED) as server:
+                (executor,) = _count_executions(server, "default").values()
+                miss = await _http(server, "POST", "/query", query_to_wire(query))
+                hit = await _http(server, "POST", "/query", query_to_wire(query))
+                streams = await _connect(server)
+                line = await _rpc(streams, query_to_wire(query))
+                await _close(streams)
+                return miss, hit, line, executor.submissions
+
+        (miss_status, miss), (hit_status, hit), line, submissions = run(main())
+        assert miss_status == hit_status == 200
+        assert miss == hit == line
+        assert json.dumps(hit["result"], sort_keys=True) == standalone_answers[query]
+        assert submissions == 1  # the miss only
+
+    def test_a_hit_ignores_its_deadline(self, service_graph, wire_queries):
+        query = wire_queries[1]
+
+        async def main():
+            async with QueryServer(service_graph, seed=POOL_SEED) as server:
+                server.tenant_service().submit(query)
+                streams = await _connect(server)
+                # A deadline no executor hop could meet: a hit has no hop.
+                response = await _rpc(streams, {**query_to_wire(query), "deadline_ms": 1e-9})
+                await _close(streams)
+                return response, server.stats()["server"]["deadline_expired_total"]
+
+        response, expired = run(main())
+        assert response["ok"] is True
+        assert expired == 0
 
 
 class TestSession:
