@@ -48,7 +48,15 @@ Measures reverse-sampled paths/second on a synthetic benchmark graph for
   against five separate calls on the same generator, in walker-steps/s.
   Both arms draw the same paths (asserted first); its
   ``fused_walk_speedup`` field is the fused arm's throughput relative to
-  the separate calls (<= 30% drift via ``--metric fused_walk_speedup``).
+  the separate calls (<= 30% drift via ``--metric fused_walk_speedup``);
+* ``lockstep-tail`` -- the alias engine on the three request shapes of a
+  RAF run (the stopping rule's fused 64..1024 batches, its next fused
+  2048 + 4096, and 1000 + 1000 realizations), in walker-steps/s, with the
+  kernel's scalar tail at its cutoff and switched off
+  (``SCALAR_TAIL = 0``), the arms alternating in the same run.  Both arms
+  draw the same paths (asserted first); its ``tail_speedup`` field is the
+  throughput with the tail relative to without (<= 30% drift via
+  ``--metric tail_speedup``).
 
 Before timing anything, the benchmark asserts each columnar kernel (search
 mode and alias mode) is bit-identical to its retained per-walker reference
@@ -77,6 +85,7 @@ import sys
 import time
 from pathlib import Path
 
+import repro.diffusion.engine as engine_module
 from repro.diffusion.engine import ENGINE_NAMES, DrawPlan, create_engine
 from repro.diffusion.path_batch import PathBatch
 from repro.graph.generators import barabasi_albert_graph
@@ -235,6 +244,49 @@ def _benchmark_fused_walk(graph, target, stop_set, sizes=(64, 128, 256, 512, 102
     }
 
 
+#: The request shapes of one RAF run: each tuple is one fused lockstep walk.
+_RAF_SHAPES = ((64, 128, 256, 512, 1024), (2048, 4096), (1000, 1000))
+
+
+def _benchmark_lockstep_tail(graph, target, stop_set, shapes=_RAF_SHAPES, repeats=15):
+    """The ``lockstep-tail`` row: RAF's request shapes with and without the scalar tail."""
+    engine = create_engine(graph, "numpy-alias")
+    cutoff = engine_module.SCALAR_TAIL
+
+    def walk(tail):
+        engine_module.SCALAR_TAIL = tail
+        batches = []
+        for sizes in shapes:
+            generator = random.Random(_SEED)
+            plan = DrawPlan(tuple((size, generator) for size in sizes))
+            batches.append(engine.sample_path_batch(target, stop_set, plan.count, rng=plan))
+        return PathBatch.concat(batches)
+
+    arms = {"tail": cutoff, "no-tail": 0}
+    best = dict.fromkeys(arms, float("inf"))
+    try:
+        batch, vectorized = walk(cutoff), walk(0)
+        assert batch.node_indices.tobytes() == vectorized.node_indices.tobytes() and (
+            batch.to_paths() == vectorized.to_paths()
+        ), "the scalar tail diverged from the vectorized rounds"
+        for _ in range(repeats):  # alternate the arms so host drift hits both
+            for label, tail in arms.items():
+                start = time.perf_counter()
+                walk(tail)
+                best[label] = min(best[label], time.perf_counter() - start)
+    finally:
+        engine_module.SCALAR_TAIL = cutoff
+    steps = batch.total_nodes - len(batch)
+    return {
+        "steps_per_sec": round(steps / best["tail"], 1),
+        "no_tail_steps_per_sec": round(steps / best["no-tail"], 1),
+        "num_paths": len(batch),
+        "walker_steps": steps,
+        "scalar_tail": cutoff,
+        "tail_speedup": round(best["no-tail"] / best["tail"], 2),
+    }
+
+
 # The transport benchmark's worker state: one columnar chunk, sampled once in
 # the pool initializer so the timed region measures only the wire.
 _TRANSPORT_BATCH = None
@@ -378,6 +430,7 @@ def run_benchmark(num_paths: int = 30_000, num_nodes: int = 3000, transport_chun
     )
     results["long-path"] = _benchmark_long_paths()
     results["fused-walk"] = _benchmark_fused_walk(graph, target, stop_set)
+    results["lockstep-tail"] = _benchmark_lockstep_tail(graph, target, stop_set)
     transport = _benchmark_transport(graph, target, stop_set, num_chunks=transport_chunks)
     if transport is not None:
         results.update(transport)
@@ -427,6 +480,7 @@ def test_engine_throughput():
     assert alias >= 1.1, f"alias kernel only {alias}x over the searchsorted kernel"
     fused = results["fused-walk"]["fused_walk_speedup"]
     assert fused > 1.0, f"one fused walk only {fused}x over one call per batch"
+    assert results["lockstep-tail"]["tail_speedup"] > 0
     if "transport-shm" in results:
         # The wire rows must post, carry their sizing metadata, and the
         # zero-copy arm must never lose outright to pickling; the absolute

@@ -27,7 +27,9 @@ defines the one interface all of those go through:
   selection uses a single ``searchsorted`` over a globally shifted
   cumulative-weight array), the cycle check compares against each
   walker's own recent history, and finished walks are compacted out with
-  boolean masks -- zero per-walker Python bookkeeping.  The groups of a
+  boolean masks; once at most :data:`SCALAR_TAIL` walkers are live, the
+  walk finishes one walker at a time in Python on the same draws and
+  float operations.  The groups of a
   :class:`DrawPlan` share one lockstep walk, each drawing from its own
   generator.  The kernel emits
   a columnar :class:`~repro.diffusion.path_batch.PathBatch` directly; its
@@ -223,6 +225,16 @@ class SamplingEngine(Protocol):
 #: batch-local :class:`_SpilledHistory`.
 HISTORY_WINDOW = 64
 
+#: Live walkers at or below which the lockstep kernel finishes a walk one
+#: walker at a time in Python: a vectorized round costs tens of numpy calls
+#: however few walkers it moves, a scalar step a few microseconds each.
+#: The draws and every float operation stay those of the vectorized round,
+#: so the cutoff never changes a stream (DESIGN.md §6.4).
+SCALAR_TAIL = 8
+
+#: Most walker steps one scatter of the kernel's path assembly places.
+_SCATTER_STEPS = 1 << 12
+
 _FIBONACCI = _np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -230,8 +242,10 @@ class _SpilledHistory:
     """A batch-local open-addressing set of non-negative int64 keys.
 
     Multiplicative (Fibonacci) hashing into a power-of-two table where -1
-    marks a free cell, linear probing, and a rebuild whenever an insert
-    would pass half load.  Every operation is vectorized over an array.
+    marks a free cell, and linear probing.  An insert that would pass half
+    load rebuilds the table at four times the key count, so the table only
+    grows as the keys double and each key is re-inserted O(1) times over a
+    walk.  Every operation is vectorized over an array.
     """
 
     __slots__ = ("table", "size")
@@ -248,8 +262,8 @@ class _SpilledHistory:
         """Insert ``keys``, which must be distinct and not yet present."""
         self.size += keys.size
         if 2 * self.size > self.table.size:
-            present = self.table[self.table >= 0]
-            self.table = _np.full(1 << (2 * self.size - 1).bit_length(), -1, dtype=_np.int64)
+            present = self.keys()
+            self.table = _np.full(1 << (4 * self.size - 1).bit_length(), -1, dtype=_np.int64)
             keys = _np.concatenate([present, keys])
         table, slots = self.table, self._home(keys)
         while keys.size:
@@ -269,6 +283,10 @@ class _SpilledHistory:
             more = (probe != keys) & (probe >= 0)
             pending, keys, slots = pending[more], keys[more], (slots[more] + 1) & (table.size - 1)
         return found
+
+    def keys(self):
+        """Every key in the set, in table order."""
+        return self.table[self.table >= 0]
 
 
 class _EngineBase:
@@ -437,8 +455,10 @@ class NumpyEngine(_EngineBase):
     array-native: the cycle check compares each live walker's choice with
     a dense block of the live walkers' last :data:`HISTORY_WINDOW` nodes
     (older history spills into a batch-local hash set), finished walks are
-    compacted out with boolean masks, and the surviving per-step frontiers
-    are scattered into a CSR-of-paths :class:`PathBatch` at the end.  Its
+    compacted out with boolean masks, the last :data:`SCALAR_TAIL`
+    walkers finish in a scalar tail (:meth:`_scalar_tail`), and the
+    surviving per-step frontiers are scattered into a CSR-of-paths
+    :class:`PathBatch` at the end.  Its
     memory is bounded by the request (paths and their lengths), never by
     the graph size.  It consumes the numpy stream draw for draw like the
     historical per-walker kernel (one ``Generator.random(live)`` per
@@ -532,12 +552,29 @@ class NumpyEngine(_EngineBase):
         kernels mask it out).  The search mode resolves the whole round
         with one binary search over the globally shifted cumulative array.
         """
-        np = self._np
         shifted, stride = self._shifted_cum()
-        locations = np.searchsorted(shifted, stride * current + draws, side="right")
-        alive = locations < self._indptr[current + 1]
-        chosen = self._parents[np.minimum(locations, self._parents.size - 1)]
-        return alive, chosen
+        locations = shifted.searchsorted(stride * current + draws, side="right")
+        alive = locations < self._indptr.take(current + 1)
+        return alive, self._parents.take(locations, mode="clip")
+
+    def _scalar_step(self):
+        """One walker's friend selection as Python scalars: ``step(node, draw)``.
+
+        Returns the selected parent's dense index, or -1 when the draw falls
+        into the node's stop-probability tail -- exactly what
+        :meth:`_select_parents` decides for that walker: the same float64
+        key ``stride*node + draw``, searched inside the node's own slice of
+        the shifted array, which is where the global search lands.
+        """
+        shifted, stride = self._shifted_cum()
+        indptr, parents = self._indptr.item, self._parents.item
+
+        def step(node, draw):
+            hi = indptr(node + 1)
+            location = bisect_right(shifted, stride * node + draw, indptr(node), hi)
+            return parents(location) if location < hi else -1
+
+        return step
 
     def _shifted_cum(self):
         """The globally shifted cumulative array (search mode), built lazily.
@@ -621,21 +658,28 @@ class NumpyEngine(_EngineBase):
         Returns ``draw(rows)``: ``random(live_k)`` from group ``k``'s own
         generator for each group with live walkers, in group order.
         Compaction keeps walker slots sorted, so each group's live walkers
-        are one contiguous run of ``rows``.
+        are one contiguous run of ``rows``; a group whose walkers have all
+        finished is dropped from later rounds.
         """
         np = self._np
         if len(groups) == 1:
             generator = groups[0][1]
             return lambda rows: generator.random(rows.size)
-        generators = [generator for _, generator in groups]
-        bounds = np.cumsum([size for size, _ in groups])[:-1]
+        # Each group as (generator, one past its last slot), while it has live walkers.
+        live_groups = list(zip((generator for _, generator in groups),
+                               np.cumsum([size for size, _ in groups]).tolist()))
 
         def draw(rows):
+            nonlocal live_groups
             draws = np.empty(rows.size)
-            cuts = [0, *np.searchsorted(rows, bounds).tolist(), rows.size]
-            for generator, low, high in zip(generators, cuts, cuts[1:]):
+            highs = rows.searchsorted([end for _, end in live_groups]).tolist()
+            kept, low = [], 0
+            for group, high in zip(live_groups, highs):
                 if high > low:
-                    generator.random(out=draws[low:high])
+                    group[0].random(out=draws[low:high])
+                    kept.append(group)
+                low = high
+            live_groups = kept
             return draws
 
         return draw
@@ -645,6 +689,7 @@ class NumpyEngine(_EngineBase):
         num_nodes = len(compiled)
         count = sum(size for size, _ in groups)
         draw = self._group_draws(groups)
+        tail = SCALAR_TAIL
         # Lockstep walkers have all taken the same number of steps, so their
         # recent paths form one dense (width x live) block, its rows doubling
         # up to HISTORY_WINDOW as walks lengthen: one comparison per round is
@@ -661,57 +706,120 @@ class NumpyEngine(_EngineBase):
         anchors = np.full(count, -1, dtype=np.int64)
         step_rows: list = []  # per lockstep round: the walkers that continued
         step_nodes: list = []  # ... and the node each of them moved to
-        while rows.size:
+        while rows.size > tail:
             live = rows.size
-            draws = draw(rows)
-            alive, chosen = self._select_parents(current, draws)
+            alive, chosen = self._select_parents(current, draw(rows))
             # Precedence exactly as the per-walker kernels: a draw in the
             # stop-probability tail or a revisited node ends the walk as
             # type-0 *before* the stop set is consulted.
             revisit = (window[:width, :live] == chosen).any(axis=0)
             if spilled is not None:
                 revisit |= spilled.contains(rows * num_nodes + chosen)
-            hit_stop = stop_mask[chosen]
-            stopped = alive & ~revisit & hit_stop
-            cont = alive & ~revisit & ~hit_stop
-            finished = rows[stopped]
-            is_type1[finished] = True
-            anchors[finished] = chosen[stopped]
-            rows = rows[cont]
-            current = chosen[cont]
+            ok = alive > revisit
+            hit_stop = stop_mask.take(chosen)
+            stopped = ok & hit_stop
+            if stopped.any():
+                finished = rows[stopped]
+                is_type1[finished] = True
+                anchors[finished] = chosen[stopped]
+            # One index array compacts the walkers and their history columns.
+            kept = (ok > hit_stop).nonzero()[0]
+            rows = rows.take(kept)
+            current = chosen.take(kept)
             if width == window_size:
                 spilled = spilled or _SpilledHistory()
-                spilled.add((rows * num_nodes + window[:, :live][:, cont]).ravel())
+                spilled.add((rows * num_nodes + window[:, :live].take(kept, axis=1)).ravel())
                 width = 0
             elif width == len(window):
                 grown = np.empty((min(2 * width, window_size), rows.size), dtype=np.int64)
-                grown[:width] = window[:width, :live][:, cont]
+                grown[:width] = window[:width, :live].take(kept, axis=1)
                 window = grown
             elif rows.size < live:
-                window[:width, : rows.size] = window[:width, :live][:, cont]
+                window[:width, : rows.size] = window[:width, :live].take(kept, axis=1)
             window[width, : rows.size] = current
             width += 1
             step_rows.append(rows)
             step_nodes.append(current)
 
+        tail_paths = []
+        if rows.size:
+            # Each remaining walker's traced set: its window column plus its
+            # spilled keys.
+            history = [set(column) for column in window[:width, : rows.size].T.tolist()]
+            if spilled is not None:
+                keys = spilled.keys()
+                owners, nodes = np.divmod(keys, num_nodes)
+                for seen, slot in zip(history, rows.tolist()):
+                    seen.update(nodes[owners == slot].tolist())
+            tail_paths = self._scalar_tail(
+                rows, current, history, stop_mask, draw, is_type1, anchors
+            )
+
         # Assemble the CSR-of-paths columns: each walker's trace is its
         # start node followed by the nodes of the rounds it survived.
-        lengths = np.ones(count, dtype=np.int64)
-        walked = np.concatenate(step_rows) if step_rows else np.empty(0, dtype=np.int64)
-        if walked.size:
-            lengths += np.bincount(walked, minlength=count)
+        rounds = len(step_rows)
+        walked = np.concatenate(step_rows) if step_rows else rows[:0]
+        lengths = np.bincount(walked, minlength=count) + 1
+        for slot, nodes in tail_paths:
+            lengths[slot] += len(nodes)
         offsets = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         node_indices = np.empty(int(offsets[-1]), dtype=np.int64)
-        cursor = offsets[:-1].copy()
-        node_indices[cursor] = start
-        cursor += 1
-        for survivors, frontier in zip(step_rows, step_nodes):
-            if survivors.size:
-                slots = cursor[survivors]
-                node_indices[slots] = frontier
-                cursor[survivors] = slots + 1
+        node_indices[offsets[:-1]] = start
+        # A walker that survived round r has taken exactly r steps, so round
+        # r's frontier lands at offsets[survivors] + r: one scatter per run
+        # of rounds.  Runs of up to _SCATTER_STEPS steps keep the
+        # temporaries small, in cache and off the peak RSS.
+        steps = [(survivors.size, depth, survivors, frontier) for depth, (survivors, frontier)
+                 in enumerate(zip(step_rows, step_nodes), 1)]
+        for run in pack_walks(steps, _SCATTER_STEPS):
+            sizes, depths, survivors, frontiers = zip(*run)
+            at = offsets.take(np.concatenate(survivors))
+            at += np.repeat(depths, sizes)
+            node_indices[at] = np.concatenate(frontiers)
+        for slot, nodes in tail_paths:
+            at = int(offsets[slot]) + rounds + 1
+            node_indices[at : at + len(nodes)] = nodes
         return PathBatch(offsets, node_indices, is_type1, anchors, compiled)
+
+    def _scalar_tail(self, rows, current, history, stop_mask, draw, is_type1, anchors) -> list:
+        """Finish a walk's last few walkers one at a time in Python.
+
+        ``rows`` and ``current`` are the live walkers' slots and nodes, and
+        ``history[k]`` is walker ``k``'s traced set.  Every round draws
+        exactly as a vectorized round would (``draw(rows)``: one
+        ``random(live_k)`` per group with live walkers) and steps the
+        walkers in slot order through :meth:`_scalar_step`, with the
+        kernel's precedence: the stop tail or a revisit ends a walk as
+        type-0 before the stop set is consulted.  Writes the type-1 flags
+        and anchors; returns ``(slot, nodes walked here)`` per walker.
+        """
+        step = self._scalar_step()
+        stops = stop_mask.item
+        walkers = [
+            [slot, node, seen, []]
+            for slot, node, seen in zip(rows.tolist(), current.tolist(), history)
+        ]
+        paths = [(slot, nodes) for slot, _, _, nodes in walkers]
+        while walkers:
+            survivors = []
+            for walker, value in zip(walkers, draw(rows).tolist()):
+                slot, node, seen, nodes = walker
+                parent = step(node, value)
+                if parent < 0 or parent in seen:
+                    continue
+                if stops(parent):
+                    is_type1[slot] = True
+                    anchors[slot] = parent
+                    continue
+                seen.add(parent)
+                nodes.append(parent)
+                walker[1] = parent
+                survivors.append(walker)
+            if len(survivors) < len(walkers):
+                rows = self._np.array([walker[0] for walker in survivors], dtype=self._np.int64)
+            walkers = survivors
+        return paths
 
     # ------------------------------------------------------------------ #
     # The historical per-walker kernel, retained as the reference path
@@ -823,25 +931,57 @@ class NumpyAliasEngine(NumpyEngine):
         return self._alias_prob, self._alias_index
 
     def _select_parents(self, current, draws):
-        """O(1) alias walk for one lockstep round: ``(alive, chosen)``."""
+        """O(1) alias walk for one lockstep round: ``(alive, chosen)``.
+
+        Overwrites ``draws``.  Walkers whose draw fell into the stop tail
+        (or that sit on a zero-degree node) compute an arbitrary in-range
+        choice -- the ``clip`` gathers keep their indices in bounds -- that
+        the kernel masks out; live walkers' indices are always in range.
+        """
         np = self._np
         alias_prob, alias_index = self._alias_arrays()
-        totals = self._totals[current]
+        totals = self._totals.take(current)
         alive = draws < totals
         # Conditional on surviving the stop tail, draw/total is uniform on
-        # [0, 1); walkers that stopped keep a harmless 0 (masked out later).
-        unit = np.divide(draws, totals, out=np.zeros_like(draws), where=alive)
-        degrees = self._degrees[current]
-        position = unit * degrees
+        # [0, 1); a stopped walker keeps its draw, which is finite.
+        position = np.divide(draws, totals, out=draws, where=alive)
+        low = self._indptr.take(current)
+        degrees = self._degrees.take(current)
+        position *= degrees
         cell = position.astype(np.int64)
-        # Guard the float edges: draw/total can round up to 1.0, and dead
-        # walkers on degree-0 nodes must still gather in-range entries.
-        cell = np.minimum(cell, np.maximum(degrees - 1, 0))
-        entries = np.minimum(self._indptr[current] + cell, self._parents.size - 1)
-        keep = (position - cell) < alias_prob[entries]
-        local = np.where(keep, cell, alias_index[entries])
-        chosen = self._parents[np.minimum(self._indptr[current] + local, self._parents.size - 1)]
-        return alive, chosen
+        # Guard the float edge: keep a live walker's cell inside its node's slice.
+        np.minimum(cell, degrees - 1, out=cell)
+        entries = low + cell
+        keep = (position - cell) < alias_prob.take(entries, mode="clip")
+        local = np.where(keep, cell, alias_index.take(entries, mode="clip"))
+        return alive, self._parents.take(low + local, mode="clip")
+
+    def _scalar_step(self):
+        """One walker's alias step as Python scalars: ``step(node, draw)``.
+
+        Repeats :meth:`_select_parents`'s float64 operations for one
+        walker -- ``draw / total``, ``* degree``, truncation, the clamp and
+        ``(position - cell) < alias_prob`` -- so it selects the parent the
+        vectorized round would; -1 when the draw falls into the stop tail.
+        """
+        alias_prob, alias_index = self._alias_arrays()
+        prob, alias = alias_prob.item, alias_index.item
+        indptr, parents, totals = self._indptr.item, self._parents.item, self._totals.item
+
+        def step(node, draw):
+            total = totals(node)
+            if not draw < total:
+                return -1
+            low = indptr(node)
+            degree = indptr(node + 1) - low
+            position = draw / total * degree
+            cell = min(int(position), degree - 1)
+            entry = low + cell
+            if position - cell < prob(entry):
+                return parents(entry)
+            return parents(low + alias(entry))
+
+        return step
 
 
 _ENGINE_TYPES: dict[str, type] = {

@@ -33,8 +33,9 @@ The out-of-core snapshot tier (DESIGN.md §8)
 A compiled snapshot can also live *on disk*: :meth:`CompiledGraph.save`
 writes the columns as little-endian ``.npy`` files plus a ``meta.json``
 into a snapshot directory, and :meth:`CompiledGraph.open` maps them back
-with ``numpy.memmap`` views -- the graph then pages its columns from the
-file system on demand instead of holding them in RAM, which is what lets
+as plain ``ndarray`` views of the file mappings -- the graph then pages
+its columns from the file system on demand instead of holding them in
+RAM, which is what lets
 million-node graphs be sampled on laptop-sized memory.  A mapped snapshot
 is a drop-in :class:`CompiledGraph`: same dtypes, same neighbour order,
 same :meth:`csr_digest`, and therefore *bit-identical* sampled paths from
@@ -382,7 +383,9 @@ def _load_column(directory: Path, name: str, expected_length: int | None, mmap: 
             f"snapshot column {path} has {column.shape[0]} entries, expected "
             f"{expected_length}"
         )
-    return column
+    # A plain ndarray view of the mapping (which it keeps alive): reads skip
+    # the Python-level memmap.__getitem__ and __array_finalize__.
+    return _np.asarray(column)
 
 
 class CompiledGraph:
@@ -392,10 +395,10 @@ class CompiledGraph:
     ``cum_weights``, ``totals``) are exposed for the sampling engines and
     must be treated as read-only; mutate the source graph and recompile
     instead.  For an in-memory snapshot they are stdlib ``array`` columns;
-    for a snapshot opened with :meth:`open` they are read-only
-    ``numpy.memmap`` views with the same dtypes and the same element
-    values, so both backends produce bit-identical samples for the same
-    seed (the contract every engine test asserts).
+    for a snapshot opened with :meth:`open` they are read-only ``ndarray``
+    views of the memory-mapped column files with the same dtypes and the
+    same element values, so both backends produce bit-identical samples
+    for the same seed (the contract every engine test asserts).
 
     A :class:`CompiledGraph` also implements the *read-only* subset of the
     :class:`SocialGraph` interface the pipeline consumes (``has_node``,
@@ -538,8 +541,8 @@ class CompiledGraph:
         """Open an on-disk snapshot directory as a :class:`CompiledGraph`.
 
         With ``mmap=True`` (the default) the columns are read-only
-        ``numpy.memmap`` views paged in on demand -- opening a million-node
-        snapshot costs a few file headers, not gigabytes of RAM.  The
+        ``ndarray`` views of file mappings, paged in on demand -- opening a
+        million-node snapshot costs a few file headers, not gigabytes of RAM.  The
         recorded CSR digest is adopted from ``meta.json`` (O(1)); pass
         ``verify=True`` to re-hash the column bytes against it
         (:meth:`verify_integrity`).  Every failure mode raises a typed

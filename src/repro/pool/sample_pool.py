@@ -78,6 +78,7 @@ prefix-per-topology contract is never weakened, only served cheaper.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -159,8 +160,21 @@ def pool_key_digest(target: NodeId, stop_set: Iterable[NodeId], stream: str = ""
     The stop set is sorted (:func:`repro.types.ordered`) and everything is
     serialized through ``repr`` before hashing, so the digest is stable
     across processes and insertion orders without constraining the node-id
-    type.
+    type.  Keys whose stop set is a ``frozenset`` -- every stop set the
+    library builds -- are memoized over the last 4096 keys, since one
+    served request asks for its key's digest several times.
     """
+    if isinstance(stop_set, frozenset):
+        return _memoized_key_digest(target, stop_set, stream)
+    return _key_digest(target, stop_set, stream)
+
+
+@functools.lru_cache(maxsize=4096)
+def _memoized_key_digest(target: NodeId, stop_set: frozenset, stream: str) -> str:
+    return _key_digest(target, stop_set, stream)
+
+
+def _key_digest(target: NodeId, stop_set: Iterable[NodeId], stream: str) -> str:
     payload = json.dumps(
         {
             "target": repr(target),

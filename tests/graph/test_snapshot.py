@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -118,6 +119,27 @@ class TestSaveOpen:
             assert friends == list(graph.neighbors(node))
             assert all(type(friend) is int for friend in friends)
             assert compiled.neighbor_set(node) == graph.neighbor_set(node)
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_columns_are_plain_ndarrays(self, snapshot, mmap):
+        # Plain views, not np.memmap: a read skips memmap.__getitem__.  The
+        # views must stay read-only, survive reopen() and pickling, and
+        # still verify against the recorded digest.
+        graph, path = snapshot
+        opened = CompiledGraph.open(path, mmap=mmap)
+        copies = [opened, pickle.loads(pickle.dumps(opened))]
+        opened.reopen()
+        for compiled in copies:
+            prob, index = compiled.alias_tables()
+            columns = [compiled.indptr, compiled.parents, compiled.cum_weights,
+                       compiled.totals, compiled._nodes_column, prob, index]
+            assert all(type(column) is np.ndarray for column in columns)
+            assert compiled.verify_integrity() == compile_graph(graph).csr_digest()
+            for node in graph.nodes():
+                assert compiled.neighbor_set(node) == graph.neighbor_set(node)
+        if mmap:
+            assert isinstance(opened.parents.base, np.memmap)
+            assert not opened.parents.flags.writeable
 
     def test_compat_surface_matches_source_graph(self, snapshot):
         graph, path = snapshot

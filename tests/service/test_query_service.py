@@ -535,6 +535,32 @@ class TestDrawFree:
             pass  # e.g. a capped pmax that saw no type-1 sample
         assert predicted == (service.pool.drawn_paths == drawn)
 
+    @pytest.mark.parametrize("kind", [0, 1, 2])
+    def test_a_served_hit_hashes_its_key_once(
+        self, service_graph, hot_pair, numpy_engine, monkeypatch, kind
+    ):
+        # The predicate (cached_count, and cached_type1 for pmax) and the
+        # execution's reader all ask for the key's digest; one hashes it.
+        from repro.pool import sample_pool
+
+        query = _queries(hot_pair)[kind]
+        service = QueryService(service_graph, engine=numpy_engine, seed=POOL_SEED)
+        cold = canonical_result(service.submit(query))
+        sample_pool._memoized_key_digest.cache_clear()
+        calls = []
+        key_digest = sample_pool._key_digest
+
+        def counting_digest(*args):
+            calls.append(args)
+            return key_digest(*args)
+
+        monkeypatch.setattr(sample_pool, "_key_digest", counting_digest)
+        drawn = service.pool.drawn_paths
+        assert service.draw_free(query)
+        assert canonical_result(service.submit(query)) == cold
+        assert service.pool.drawn_paths == drawn
+        assert len(calls) == 1
+
     def test_an_evicted_key_is_not_draw_free(self, service_graph, hot_pair, numpy_engine):
         source, target = hot_pair
         query = EvaluateQuery(source, target, num_samples=500)
