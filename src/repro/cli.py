@@ -17,9 +17,9 @@ The CLI exposes the common workflows without writing Python:
   :class:`~repro.service.QueryService` (request coalescing, admission
   control, metrics via the ``stats`` op).  With ``--listen HOST:PORT`` the
   same queries are served over TCP instead -- newline-delimited JSON or
-  HTTP/1.1 on one port -- with per-tenant pools and token-bucket budgets,
-  per-connection backpressure windows, deadlines and priority admission
-  (see DESIGN.md §9).
+  HTTP/1.1 on one port -- with one pool shared by every tenant, per-tenant
+  token-bucket budgets and stats rows, per-connection backpressure windows,
+  deadlines and priority admission (see DESIGN.md §9).
 * ``repro bench-load`` -- replay the deterministic closed-loop load
   benchmark (coalescing vs. no-coalescing arm, bit-identity asserted).
 * ``repro compile-graph`` -- stream a SNAP edge list into an on-disk CSR
@@ -309,13 +309,13 @@ def _register_serving_commands(subparsers) -> None:
     _add_engine_argument(serve)
     serve.add_argument(
         "--pool-budget", type=int, default=None, metavar="N",
-        help="cap on the total paths the service pool keeps cached "
-             "(default: unbounded)",
+        help="cap on the total paths the service pool keeps cached; with "
+             "--listen the one pool all tenants share (default: unbounded)",
     )
     serve.add_argument(
         "--max-in-flight", type=int, default=None, metavar="N",
-        help="admission limit on concurrent query executions "
-             "(default: unbounded)",
+        help="admission limit on concurrent query executions, across all "
+             "tenants with --listen (default: unbounded)",
     )
     serve.add_argument(
         "--max-query-samples", type=int, default=None, metavar="N",
@@ -346,8 +346,8 @@ def _register_serving_commands(subparsers) -> None:
     )
     serve.add_argument(
         "--max-tenants", type=int, default=64, metavar="N",
-        help="cap on distinct tenants, each with its own pool and budget "
-             "(--listen only; default: 64)",
+        help="cap on distinct tenants, each with its own budget and stats "
+             "row over the shared pool (--listen only; default: 64)",
     )
     serve.add_argument(
         "--connection-window", type=int, default=DEFAULT_CONNECTION_WINDOW, metavar="N",

@@ -419,6 +419,7 @@ class CompiledGraph:
         "_num_edges",
         "_alias",
         "_digest",
+        "_normalized",
         "_directory",
         "_mmap",
         "_nodes_column",
@@ -452,6 +453,7 @@ class CompiledGraph:
         self._num_edges = graph.num_edges
         self._alias = None  # (alias_prob, alias_index), built lazily
         self._digest = None  # computed lazily by csr_digest()
+        self._normalized = None  # computed lazily by is_normalized()
         self._directory = None
         self._mmap = False
         self._nodes_column = None
@@ -586,6 +588,7 @@ class CompiledGraph:
         compiled._num_edges = meta["num_edges"]
         compiled._alias = (alias_prob, alias_index)
         compiled._digest = meta["digest"]
+        compiled._normalized = None
         compiled._directory = directory
         compiled._mmap = mmap
         compiled._nodes_column = nodes_column
@@ -622,6 +625,7 @@ class CompiledGraph:
         self.cum_weights = fresh.cum_weights
         self.totals = fresh.totals
         self._alias = fresh._alias
+        self._normalized = None
         self._nodes_column = fresh._nodes_column
         self._lookup = None
 
@@ -840,15 +844,17 @@ class CompiledGraph:
 
         A compiled snapshot originates from a validated graph (or from the
         streaming compiler's normalized weight schemes), so this reduces to
-        checking the precomputed ``totals`` column against the model bound.
+        checking the precomputed ``totals`` column against the model bound,
+        once per snapshot (:meth:`reopen` clears the cached answer).
         """
-        if len(self.totals) == 0:
-            return True
-        if hasattr(self.totals, "max"):  # numpy-backed mapped column
-            largest = float(self.totals.max())
-        else:
-            largest = max(self.totals)
-        return largest <= 1.0 + WEIGHT_SUM_TOLERANCE
+        if self._normalized is None:
+            totals = self.totals
+            if hasattr(totals, "max"):  # numpy-backed mapped column
+                largest = float(totals.max(initial=0.0))
+            else:
+                largest = max(totals, default=0.0)
+            self._normalized = largest <= 1.0 + WEIGHT_SUM_TOLERANCE
+        return self._normalized
 
     # ------------------------------------------------------------------ #
     # Sampling primitive

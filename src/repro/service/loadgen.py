@@ -260,7 +260,6 @@ def run_socket_load(
     engine: str = "python",
     workers: int | str | None = None,
     coalesce: bool = True,
-    tenant: str = "default",
 ) -> LoadResult:
     """Replay a schedule over real TCP connections, wave by wave.
 
@@ -318,8 +317,8 @@ def run_socket_load(
                     waves.append(tuple(answers))
                 transcript = tuple(waves)
                 seconds = time.perf_counter() - start
-                # Metrics must be read before aclose() tears the tenant down.
-                metrics = server.tenant_service(tenant).metrics()
+                # Metrics must be read before aclose() closes the service.
+                metrics = server.tenant_service().metrics()
                 return transcript, seconds, metrics
             finally:
                 for _, writer in clients:

@@ -45,6 +45,7 @@ cross-query concurrency from coalescing and cache reuse.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
 import time
@@ -72,7 +73,7 @@ from repro.exceptions import (
 from repro.graph.social_graph import SocialGraph
 from repro.parallel.engine import maybe_parallel
 from repro.pool.sample_pool import STREAM_EVAL, STREAM_PMAX, STREAM_REALIZATIONS, SamplePool
-from repro.diffusion.engine import SamplingEngine, resolve_engine
+from repro.diffusion.engine import resolve_engine
 from repro.types import NodeId
 from repro.utils.validation import require_positive, require_positive_int
 
@@ -83,6 +84,8 @@ __all__ = [
     "Query",
     "QUERY_KINDS",
     "ServiceMetrics",
+    "Tally",
+    "charged_to",
     "QueryService",
 ]
 
@@ -291,22 +294,54 @@ class ServiceMetrics:
         }
 
 
-def serving_engine(
-    graph: SocialGraph, engine, workers: int | str | None = None, fault_plan=None
-) -> SamplingEngine:
-    """The engine a service or server samples with.
+@dataclass(slots=True)
+class Tally:
+    """One caller's share of a service's counters (a server tenant's row).
 
-    ``engine`` (a name or an instance built on ``graph``) is resolved,
-    wrapped for ``workers`` with the ``"serial"`` crash policy -- persistent
-    worker crashes degrade to in-process sampling instead of failing
-    queries -- and handed ``fault_plan``.  An instance that needs no
-    wrapper comes back as itself; anything else is new and belongs to the
-    caller.
+    While :func:`charged_to` names a tally, the service counts each
+    submission in it as well as in its totals: the request, its admission
+    outcome and latency, and the pool paths drawn and served by each
+    execution it leads.  Summed over every caller, tallies give the totals.
     """
-    built = maybe_parallel(resolve_engine(graph, engine), workers, on_worker_failure="serial")
-    if fault_plan is not None and hasattr(built, "inject_faults"):
-        built.inject_faults(fault_plan)
-    return built
+
+    requests: int = 0
+    executed: int = 0
+    coalesced: int = 0
+    rejected: int = 0
+    drawn: int = 0
+    served: int = 0
+    # Bounded window: a long-lived serve process must not grow a
+    # per-request list forever, nor sort millions of floats under the
+    # state lock on every `stats` op.
+    latencies: deque = field(default_factory=lambda: deque(maxlen=LATENCY_WINDOW))
+
+    def add(self, outcome: str, count: int = 1) -> None:
+        """Count ``count`` requests whose outcome is ``executed``, ``coalesced`` or ``rejected``."""
+        self.requests += count
+        setattr(self, outcome, getattr(self, outcome) + count)
+
+
+_CHARGED: contextvars.ContextVar[Tally | None] = contextvars.ContextVar("charged", default=None)
+
+
+@contextmanager
+def charged_to(tally: Tally):
+    """Credit the service work submitted in this context to ``tally`` too.
+
+    The context follows :meth:`QueryService.submit_async` onto its executor
+    thread, so :meth:`QueryService.submit` needs no caller argument.
+    """
+    token = _CHARGED.set(tally)
+    try:
+        yield tally
+    finally:
+        _CHARGED.reset(token)
+
+
+def _tallies(totals: Tally) -> tuple[Tally, ...]:
+    """The tallies a submission in the current context counts in."""
+    charged = _CHARGED.get()
+    return (totals,) if charged is None else (totals, charged)
 
 
 class _InFlight:
@@ -354,11 +389,11 @@ class QueryService:
         ``repro serve --fault-seed`` soak runs use this.  Never set in
         production.
 
-    The engine comes from :func:`serving_engine`: if sampling workers keep
-    dying past the retry budget, the service degrades to in-process
-    sampling (byte-identical answers, reduced throughput) instead of
-    failing queries -- the :attr:`degraded` flag records the downgrade for
-    ``stats``/``healthz`` (DESIGN.md §11).
+    ``workers`` wrap the engine with the ``"serial"`` crash policy: if
+    sampling workers keep dying past the retry budget, the service degrades
+    to in-process sampling (byte-identical answers, reduced throughput)
+    instead of failing queries -- the :attr:`degraded` flag records the
+    downgrade for ``stats``/``healthz`` (DESIGN.md §11).
     """
 
     def __init__(
@@ -379,8 +414,10 @@ class QueryService:
         if max_query_samples is not None:
             require_positive_int(max_query_samples, "max_query_samples")
         self._graph = graph
-        self._engine = serving_engine(graph, engine, workers, fault_plan)
-        self._owns_engine = self._engine is not engine
+        built = maybe_parallel(resolve_engine(graph, engine), workers, on_worker_failure="serial")
+        if fault_plan is not None and hasattr(built, "inject_faults"):
+            built.inject_faults(fault_plan)
+        self._engine, self._owns_engine = built, built is not engine
         self._pool = SamplePool(
             self._engine, seed=seed, budget=pool_budget, fault_plan=fault_plan
         )
@@ -393,14 +430,7 @@ class QueryService:
         self._pool_lock = threading.Lock()
         self._inflight: dict[object, _InFlight] = {}
         self._executing = 0
-        self._requests = 0
-        self._executed = 0
-        self._coalesced = 0
-        self._rejected = 0
-        # Bounded window: a long-lived serve process must not grow a
-        # per-request list forever, nor sort millions of floats under the
-        # state lock on every `stats` op.
-        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
+        self._totals = Tally()
         self._executor: ThreadPoolExecutor | None = None
         self._closed = False
 
@@ -451,8 +481,11 @@ class QueryService:
         """
         return bool(getattr(self._engine, "degraded", False))
 
-    def metrics(self) -> ServiceMetrics:
+    def metrics(self, tally: Tally | None = None) -> ServiceMetrics:
         """A consistent snapshot of the counters (see :class:`ServiceMetrics`).
+
+        With ``tally``, the snapshot is that caller's share (see
+        :func:`charged_to`).
 
         Deliberately does *not* take the execution lock (callers poll
         metrics while queries run), so the pool is sampled through its
@@ -462,12 +495,15 @@ class QueryService:
         drawn = self._pool.drawn_paths
         served = self._pool.served_paths
         with self._state_lock:
-            latencies = sorted(self._latencies)
+            counts = self._totals if tally is None else tally
+            if tally is not None:  # the executions it led
+                drawn, served = tally.drawn, tally.served
+            latencies = sorted(counts.latencies)
             return ServiceMetrics(
-                requests=self._requests,
-                executed=self._executed,
-                coalesced=self._coalesced,
-                rejected=self._rejected,
+                requests=counts.requests,
+                executed=counts.executed,
+                coalesced=counts.coalesced,
+                rejected=counts.rejected,
                 samples_drawn=drawn,
                 samples_served=served,
                 latency_p50=_percentile(latencies, 0.50),
@@ -615,12 +651,12 @@ class QueryService:
             followers = len(positions) - 1
             if followers:
                 with self._state_lock:
-                    self._requests += followers
-                    self._coalesced += followers
                     # In wave mode a follower waits exactly as long as its
                     # leader's execution, so the percentile population stays
                     # one latency sample per admitted query.
-                    self._latencies.extend([elapsed] * followers)
+                    for tally in _tallies(self._totals):
+                        tally.add("coalesced", followers)
+                        tally.latencies.extend([elapsed] * followers)
             for index in positions:
                 results[index] = value
         return results
@@ -629,12 +665,15 @@ class QueryService:
         """Asyncio front-end: awaitable :meth:`submit` on a worker thread.
 
         Concurrent awaits of equal queries coalesce exactly like concurrent
-        :meth:`submit` calls from threads do.
+        :meth:`submit` calls from threads do, in the caller's context (so
+        under its :func:`charged_to` tally).
         """
         import asyncio
 
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._ensure_executor(), self.submit, query)
+        return await loop.run_in_executor(
+            self._ensure_executor(), contextvars.copy_context().run, self.submit, query
+        )
 
     # ------------------------------------------------------------------ #
     # Typed conveniences (the run_raf / harness execution backend)
@@ -712,53 +751,69 @@ class QueryService:
             return self._executor
 
     def _claim(self, query) -> tuple[_InFlight, bool]:
-        """Admit a query: join an in-flight equal execution or lead a new one."""
+        """Admit a query: join an in-flight equal execution or lead a new one.
+
+        Every submission is counted once, admitted or not, so the
+        reconciliation invariant (requests == executed + coalesced +
+        rejected) holds in the totals and in a charged tally alike.
+        """
         if not isinstance(query, _QUERY_TYPES):
             raise _unsupported_query(query)
+        outcome = "rejected"
         with self._state_lock:
-            self._requests += 1
-            if self._closed:
-                # Counted as a rejection so the reconciliation invariant
-                # (requests == executed + coalesced + rejected) survives
-                # shutdown races.  Checked before the coalesce lookup: a
-                # would-be follower must not latch onto a leader whose
-                # service is tearing down.
-                self._rejected += 1
-                raise ServiceClosedError(
-                    "service is closed; the query was not admitted"
-                )
-            cost = query.sample_cost()
-            if self._max_query_samples is not None and cost > self._max_query_samples:
-                self._rejected += 1
-                raise ServiceRejectedError(
-                    f"query requests up to {cost} samples, above the per-query "
-                    f"budget of {self._max_query_samples}"
-                )
-            if self._coalesce:
-                entry = self._inflight.get(query)
-                if entry is not None:
-                    self._coalesced += 1
-                    return entry, False
-            if self._max_in_flight is not None and self._executing >= self._max_in_flight:
-                self._rejected += 1
-                raise ServiceOverloadedError(
-                    f"{self._executing} executions already in flight "
-                    f"(max_in_flight={self._max_in_flight})"
-                )
-            entry = _InFlight()
-            if self._coalesce:
-                self._inflight[query] = entry
-            self._executing += 1
-            self._executed += 1
-            return entry, True
+            try:
+                entry, leader = self._admission(query)
+                outcome = "executed" if leader else "coalesced"
+                return entry, leader
+            finally:
+                for tally in _tallies(self._totals):
+                    tally.add(outcome)
+
+    def _admission(self, query) -> tuple[_InFlight, bool]:
+        """The admission decision; the caller holds ``_state_lock``."""
+        if self._closed:
+            # Checked before the coalesce lookup: a would-be follower must
+            # not latch onto a leader whose service is tearing down.
+            raise ServiceClosedError("service is closed; the query was not admitted")
+        cost = query.sample_cost()
+        if self._max_query_samples is not None and cost > self._max_query_samples:
+            raise ServiceRejectedError(
+                f"query requests up to {cost} samples, above the per-query "
+                f"budget of {self._max_query_samples}"
+            )
+        if self._coalesce:
+            entry = self._inflight.get(query)
+            if entry is not None:
+                return entry, False
+        if self._max_in_flight is not None and self._executing >= self._max_in_flight:
+            raise ServiceOverloadedError(
+                f"{self._executing} executions already in flight "
+                f"(max_in_flight={self._max_in_flight})"
+            )
+        entry = _InFlight()
+        if self._coalesce:
+            self._inflight[query] = entry
+        self._executing += 1
+        return entry, True
 
     def _execute(self, query) -> object:
         # Serialized: the SamplePool mutates shared state and is not
         # thread-safe; within the execution the ParallelEngine still fans
-        # sampling over worker processes.
+        # sampling over worker processes.  The pool's counters move only
+        # under this lock, so their change is this execution's own draw,
+        # credited to the leader's tally.
+        charged, pool = _CHARGED.get(), self._pool
         with self._pool_lock:
-            return execute_query(self._graph, query, self._pool)
+            drawn, served = pool.drawn_paths, pool.served_paths
+            try:
+                return execute_query(self._graph, query, pool)
+            finally:
+                if charged is not None:
+                    with self._state_lock:
+                        charged.drawn += pool.drawn_paths - drawn
+                        charged.served += pool.served_paths - served
 
     def _record_latency(self, seconds: float) -> None:
         with self._state_lock:
-            self._latencies.append(seconds)
+            for tally in _tallies(self._totals):
+                tally.latencies.append(seconds)

@@ -20,15 +20,15 @@ The server layers four serving-grade controls over the service's existing
 coalescing + ``max_in_flight`` admission (DESIGN.md §9 is the normative
 description):
 
-* **Tenancy.**  The ``tenant`` field names an isolation domain.  Each
-  tenant gets its *own* ``QueryService`` -- its own ``SamplePool``, token
-  bucket, coalesce map and counters, created lazily on first use and
-  capped by ``max_tenants``.  Sampling is not per tenant: the server
-  builds one engine (and, with ``workers``, one worker pool, forked in
-  :meth:`QueryServer.start` before any thread runs) and every tenant
-  draws from it.  Every tenant pool uses the same seed, so answers are
-  tenant-independent and byte-identical to standalone fresh-pool runs
-  (the pool contract: a sample is a pure function of ``(seed, key, i)``).
+* **Tenancy.**  The ``tenant`` field names an accounting domain: a token
+  bucket and a stats row, created lazily on first use and capped by
+  ``max_tenants``.  Everything else is the server's one ``QueryService``:
+  one ``SamplePool``, one coalesce map, one executor and one engine (with
+  ``workers``, one worker pool, forked in :meth:`QueryServer.start` before
+  any thread runs).  A sample is a pure function of ``(seed, key, i)``,
+  so tenants sharing the pool share its cost, never its answers: every
+  answer is byte-identical to a standalone fresh-pool run, and equal
+  queries from different tenants coalesce.
 * **Token-bucket budgets.**  Per tenant: capacity ``tenant_burst`` sample
   units refilling at ``tenant_rate`` units/second (both ``None`` =
   unlimited).  A request costs its ``sample_cost()``; an uncovered cost is
@@ -51,7 +51,7 @@ description):
 
 Determinism: the server adds scheduling, never randomness.  Every admitted
 query is answered through ``QueryService.submit``: on the event loop when
-the tenant's pool already holds its samples (``QueryService.draw_free``;
+the pool already holds its samples (``QueryService.draw_free``;
 such an answer cannot be late, so it ignores deadlines), on the service's
 executor otherwise.  Answers remain byte-identical to standalone runs
 regardless of client count, interleaving, tenancy or transport -- the
@@ -66,7 +66,7 @@ import math
 import re
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.exceptions import (
@@ -79,7 +79,7 @@ from repro.exceptions import (
 )
 from repro.experiments.records import to_jsonable
 from repro.graph.social_graph import SocialGraph
-from repro.service.query_service import QUERY_KINDS, QueryService, serving_engine
+from repro.service.query_service import QUERY_KINDS, QueryService, Tally, charged_to
 from repro.utils.validation import require_positive, require_positive_int
 
 __all__ = [
@@ -186,18 +186,17 @@ class TokenBucket:
 
 @dataclass(slots=True)
 class _Tenant:
-    """One tenant's isolation domain: its pool-owning service and budget."""
+    """One tenant: its budget, its admission counters and its share of the service."""
 
-    name: str
-    service: QueryService
     bucket: TokenBucket | None
+    tally: Tally = field(default_factory=Tally)
     requests: int = 0
     budget_rejected: int = 0
 
 
 @dataclass(slots=True)
 class _ServerCounters:
-    """Server-level counters (the service keeps its own per-tenant set)."""
+    """Server-level counters (the service and each tenant keep their own)."""
 
     connections_total: int = 0
     requests_total: int = 0
@@ -222,14 +221,14 @@ class _Envelope:
 
 
 class QueryServer:
-    """Asyncio TCP/HTTP front end multiplexing clients over per-tenant pools.
+    """Asyncio TCP/HTTP front end multiplexing clients over one shared service.
 
-    Parameters mirror :class:`QueryService`.  ``engine`` / ``workers`` /
-    ``fault_plan`` build the server's one sampling engine, which every
-    tenant shares (a passed-in engine instance stays its caller's: the
-    server does not close it); ``seed`` / ``pool_budget`` /
-    ``max_in_flight`` / ``max_query_samples`` / ``coalesce`` /
-    ``fault_plan`` apply to every tenant's service.  Then come the
+    The leading parameters build the server's one :class:`QueryService`,
+    which every tenant goes through: ``engine`` / ``workers`` /
+    ``fault_plan`` its sampling engine (a passed-in engine instance stays
+    its caller's: the server does not close it), and ``seed`` /
+    ``pool_budget`` / ``max_in_flight`` / ``max_query_samples`` /
+    ``coalesce`` its pool and admission, server-wide.  Then come the
     serving controls described in the module docstring:
     ``tenant_burst`` / ``tenant_rate`` (token bucket, sample units),
     ``max_tenants``, ``connection_window``, ``default_deadline_ms``, and an
@@ -274,10 +273,10 @@ class QueryServer:
             raise ValueError("tenant_rate requires tenant_burst (the bucket capacity)")
         if default_deadline_ms is not None:
             require_positive(default_deadline_ms, "default_deadline_ms")
-        self._graph = graph
-        self._engine = serving_engine(graph, engine, workers, fault_plan)
-        self._owns_engine = self._engine is not engine
-        self._service_kwargs = dict(
+        self._service = QueryService(
+            graph,
+            engine=engine,
+            workers=workers,
             seed=seed,
             pool_budget=pool_budget,
             max_in_flight=max_in_flight,
@@ -325,7 +324,7 @@ class QueryServer:
         """
         if self._server is not None:
             raise ServiceError("server is already started")
-        start = getattr(self._engine, "start", None)
+        start = getattr(self._service.pool.engine, "start", None)
         if start is not None:
             start()
         try:
@@ -333,19 +332,18 @@ class QueryServer:
                 self._accept, host=self._host, port=self._port, limit=_READ_LIMIT
             )
         except BaseException:
-            await self._close_engine()
+            await asyncio.to_thread(self._service.close)
             raise
         sockets = self._server.sockets or ()
         if sockets:
             self._port = sockets[0].getsockname()[1]
 
     async def aclose(self) -> None:
-        """Stop accepting, close every connection, tear down tenant services.
+        """Stop accepting, close every connection, then close the service.
 
-        In-flight executions finish on their worker threads (each tenant
-        service's ``close()`` waits for them); their responses are not
-        delivered -- the sockets are already gone.  The shared engine is
-        closed last, once every tenant has drained.
+        In-flight executions finish on their worker threads (the service's
+        ``close()`` waits for them); their responses are not delivered --
+        the sockets are already gone.
         """
         self._closing = True
         if self._server is not None:
@@ -357,17 +355,8 @@ class QueryServer:
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._connections.clear()
-        for tenant in self._tenants.values():
-            # close() blocks on in-flight work; keep the event loop alive.
-            await asyncio.to_thread(tenant.service.close)
-        self._tenants.clear()
-        await self._close_engine()
-
-    async def _close_engine(self) -> None:
-        """Tear down the engine's worker pool, if this server built it."""
-        close = getattr(self._engine, "close", None)
-        if self._owns_engine and close is not None:
-            await asyncio.to_thread(close)
+        # close() blocks on in-flight work; keep the event loop alive.
+        await asyncio.to_thread(self._service.close)
 
     async def __aenter__(self) -> "QueryServer":
         await self.start()
@@ -381,22 +370,29 @@ class QueryServer:
     # ------------------------------------------------------------------ #
 
     def tenant_service(self, name: str = "default") -> QueryService:
-        """The named tenant's service (created lazily, like a request would)."""
-        return self._tenant(name).service
+        """The server's one service, which the named tenant (created lazily) uses."""
+        self._tenant(name)
+        return self._service
 
     def stats(self) -> dict:
-        """The structured stats payload served by ``stats`` / ``GET /stats``."""
+        """The structured stats payload served by ``stats`` / ``GET /stats``.
+
+        ``service`` holds the shared service's totals; each tenant row holds
+        that tenant's share (see :class:`~repro.service.query_service.Tally`).
+        """
         counters = self._counters
-        tenants = {}
-        for name in sorted(self._tenants):
-            tenant = self._tenants[name]
-            tenants[name] = {
-                **tenant.service.metrics().as_dict(),
+        service = self._service
+        degraded = service.degraded
+        tenants = {
+            name: {
+                **service.metrics(tenant.tally).as_dict(),
                 "server_requests": tenant.requests,
                 "budget_rejected": tenant.budget_rejected,
                 "tokens": None if tenant.bucket is None else tenant.bucket.tokens,
-                "degraded": tenant.service.degraded,
+                "degraded": degraded,
             }
+            for name, tenant in sorted(self._tenants.items())
+        }
         return {
             "server": {
                 "connections_total": counters.connections_total,
@@ -413,8 +409,9 @@ class QueryServer:
                 "tenant_count": len(self._tenants),
                 "max_tenants": self._max_tenants,
                 "connection_window": self._connection_window,
-                "degraded": bool(getattr(self._engine, "degraded", False)),
+                "degraded": degraded,
             },
+            "service": service.metrics().as_dict(),
             "tenants": tenants,
         }
 
@@ -429,7 +426,7 @@ class QueryServer:
         return {
             "ok": True,
             "status": "closing" if self._closing else "serving",
-            "degraded": bool(getattr(self._engine, "degraded", False)),
+            "degraded": self._service.degraded,
             "in_flight": self._inflight,
             "tenants": len(self._tenants),
         }
@@ -450,12 +447,7 @@ class QueryServer:
         bucket = None
         if self._tenant_burst is not None:
             bucket = TokenBucket(self._tenant_burst, self._tenant_rate, clock=self._clock)
-        tenant = _Tenant(
-            name=name,
-            service=QueryService(self._graph, engine=self._engine, **self._service_kwargs),
-            bucket=bucket,
-        )
-        self._tenants[name] = tenant
+        tenant = self._tenants[name] = _Tenant(bucket)
         return tenant
 
     def _parse_envelope(self, request: dict) -> _Envelope:
@@ -531,14 +523,15 @@ class QueryServer:
         future: no executor hop, and no deadline, since nothing can be
         late.  Any other query is the :meth:`_execute` coroutine.
         """
-        service = tenant.service
+        service = self._service
         if not service.draw_free(query):
             return self._execute(tenant, query, deadline_s)
         answer = asyncio.get_running_loop().create_future()
-        try:
-            answer.set_result(service.submit(query))
-        except Exception as error:  # noqa: BLE001 - mapped by the awaiting side
-            answer.set_exception(error)
+        with charged_to(tenant.tally):
+            try:
+                answer.set_result(service.submit(query))
+            except Exception as error:  # noqa: BLE001 - mapped by the awaiting side
+                answer.set_exception(error)
         return answer
 
     async def _execute(self, tenant: _Tenant, query, deadline_s: float | None):
@@ -546,7 +539,8 @@ class QueryServer:
         self._inflight += 1
         try:
             async with asyncio.timeout(deadline_s):
-                return await tenant.service.submit_async(query)
+                with charged_to(tenant.tally):
+                    return await self._service.submit_async(query)
         finally:
             self._inflight -= 1
 
@@ -882,7 +876,7 @@ async def serve_forever(graph: SocialGraph, *, echo=print, on_shutdown=None, **k
     """Run a :class:`QueryServer` until cancelled (the CLI's --listen loop).
 
     ``on_shutdown``, when given, receives the final :meth:`QueryServer.stats`
-    payload (captured before the tenant services are torn down) instead of
+    payload (captured before the service is torn down) instead of
     the default one-line summary through ``echo``.
     """
     async with QueryServer(graph, **kwargs) as server:

@@ -281,3 +281,43 @@ class TestReverseReachable:
                         expected.add(a)
                         grew = True
         assert affected == frozenset(expected)
+
+
+class TestIsNormalized:
+    """``is_normalized`` reduces ``totals`` once per snapshot."""
+
+    @staticmethod
+    def _reduction(compiled) -> bool:
+        from repro.graph.social_graph import WEIGHT_SUM_TOLERANCE
+
+        return max(compiled.totals, default=0.0) <= 1.0 + WEIGHT_SUM_TOLERANCE
+
+    def test_cached_value_equals_the_reduction(self, small_ba_graph, tmp_path):
+        bad = SocialGraph(edges=[(1, 2, 0.8, 0.8), (3, 2, 0.8, 0.8)])
+        compiled_graphs = [compile_graph(small_ba_graph), CompiledGraph(bad)]
+        compiled_graphs[0].save(tmp_path / "good")
+        compiled_graphs.append(CompiledGraph.open(tmp_path / "good"))
+        for compiled in compiled_graphs:
+            assert compiled._normalized is None
+            assert compiled.is_normalized() == self._reduction(compiled)
+            assert compiled._normalized == self._reduction(compiled)
+        assert [compiled.is_normalized() for compiled in compiled_graphs] == [True, False, True]
+
+    def test_reopen_clears_the_cached_value(self, small_ba_graph, tmp_path):
+        compile_graph(small_ba_graph).save(tmp_path / "snap")
+        mapped = CompiledGraph.open(tmp_path / "snap")
+        assert mapped.is_normalized()
+        mapped.reopen()
+        assert mapped._normalized is None
+        assert mapped.is_normalized() == self._reduction(mapped)
+
+    def test_a_non_normalized_snapshot_is_refused_by_both_callers(self):
+        from repro.core.maximization import maximize_acceptance_probability
+        from repro.core.problem import ActiveFriendingProblem
+        from repro.exceptions import ProblemDefinitionError
+
+        compiled = CompiledGraph(SocialGraph(edges=[(1, 2, 0.8, 0.8), (3, 2, 0.8, 0.8)]))
+        with pytest.raises(ProblemDefinitionError, match="normalized"):
+            ActiveFriendingProblem(compiled, 1, 3)
+        with pytest.raises(ProblemDefinitionError, match="normalized"):
+            maximize_acceptance_probability(compiled, 1, 3, budget=1)

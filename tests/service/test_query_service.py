@@ -47,7 +47,7 @@ from repro.service import (
     canonical_result,
     run_standalone,
 )
-from repro.service.query_service import execute_query, serving_engine
+from repro.service.query_service import execute_query
 
 POOL_SEED = 55
 
@@ -366,32 +366,33 @@ class TestEngineOwnership:
 
 
 class TestServingEngine:
-    """``serving_engine`` is the one place a service or server builds its engine."""
+    """How a service builds (or adopts) the engine it samples with."""
 
     def test_name_builds_an_engine_on_the_graph(self, service_graph):
-        engine = serving_engine(service_graph, "python")
-        assert engine.name == "python"
-        assert engine.compiled is create_engine(service_graph, "python").compiled
+        with QueryService(service_graph, engine="python") as service:
+            engine = service.pool.engine
+            assert engine.name == "python"
+            assert engine.compiled is create_engine(service_graph, "python").compiled
 
     def test_instance_needing_no_wrapper_comes_back_as_itself(self, service_graph):
         engine = create_engine(service_graph, "python")
-        assert serving_engine(service_graph, engine) is engine
+        with QueryService(service_graph, engine=engine) as service:
+            assert service.pool.engine is engine
 
     def test_workers_wrap_with_the_serial_crash_policy(self, service_graph):
         plan = FaultPlan(3, slow_rate=0.5)
-        engine = serving_engine(service_graph, "python", workers=2, fault_plan=plan)
-        try:
+        with QueryService(service_graph, engine="python", workers=2, fault_plan=plan) as service:
+            engine = service.pool.engine
             assert isinstance(engine, ParallelEngine)
             assert engine.workers == 2
             assert engine.on_worker_failure == "serial"
             assert engine._fault_plan is plan
-        finally:
-            engine.close()
 
     def test_parallel_instance_keeps_its_own_policy(self, service_graph):
         engine = ParallelEngine(create_engine(service_graph, "python"), workers=3)
         try:
-            assert serving_engine(service_graph, engine, workers=2) is engine
+            with QueryService(service_graph, engine=engine, workers=2) as service:
+                assert service.pool.engine is engine
             assert engine.workers == 3 and engine.on_worker_failure == "retry"
         finally:
             engine.close()
@@ -399,7 +400,7 @@ class TestServingEngine:
     def test_engine_of_another_graph_is_refused(self, service_graph):
         other = barabasi_albert_graph(50, 2, rng=4)
         with pytest.raises(EngineError):
-            serving_engine(service_graph, create_engine(other, "python"))
+            QueryService(service_graph, engine=create_engine(other, "python"))
 
 
 class TestShutdownRace:

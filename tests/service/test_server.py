@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.diffusion.engine import create_engine
 from repro.exceptions import ServiceClosedError, ServiceError
 from repro.parallel.engine import ParallelEngine, fork_available
+from repro.pool.sample_pool import DEFAULT_POOL_CHUNK
 from repro.service.loadgen import query_to_wire, run_standalone
 from repro.service.query_service import EvaluateQuery, MaximizeQuery, PmaxQuery
 from repro.service.server import PRIORITIES, QueryServer, TokenBucket, serve_forever
@@ -660,7 +661,7 @@ class TestDegradedMode:
 
         async def main():
             async with QueryServer(service_graph, seed=POOL_SEED, workers=2) as server:
-                engine = server._engine  # noqa: SLF001 - no tenant exists yet
+                engine = server._service.pool.engine  # noqa: SLF001 - no tenant exists yet
                 engine.inject_faults(FaultPlan(kill_rate=1.0))
                 stop = service_graph.neighbor_set(source)
                 await asyncio.to_thread(
@@ -761,12 +762,11 @@ class CountingExecutor(ThreadPoolExecutor):
         return super().submit(fn, *args, **kwargs)
 
 
-def _count_executions(server: QueryServer, *tenants: str) -> dict:
-    """Install a counting executor on each named tenant's service."""
-    executors = {tenant: CountingExecutor() for tenant in tenants}
-    for tenant, executor in executors.items():
-        server.tenant_service(tenant)._executor = executor
-    return executors
+def _count_executions(server: QueryServer) -> CountingExecutor:
+    """Install a counting executor on the server's one service."""
+    executor = CountingExecutor()
+    server.tenant_service()._executor = executor
+    return executor
 
 
 class TestDrawFreeAnswers:
@@ -776,30 +776,38 @@ class TestDrawFreeAnswers:
         self, service_graph, wire_queries, standalone_answers
     ):
         pmax, evaluate, maximize = wire_queries
-        # Misses and hits on separate tenants, so no miss's execution holds
-        # the pool a hit reads: which request is a hit is a constructed fact.
-        order = [("cold", evaluate), ("warm", pmax), ("cold", maximize), ("warm", evaluate)]
+        wider = EvaluateQuery(source=evaluate.source, target=evaluate.target,
+                              invitation=evaluate.invitation,
+                              num_samples=DEFAULT_POOL_CHUNK + 1)  # past the warm chunk
+        # Misses and hits on different tenants of the one pool.  The four
+        # lines go out in one write, and the reader admits every line of a
+        # read before any execution task runs, so no miss holds the pool
+        # while a hit is checked: which request is a hit is a constructed fact.
+        order = [("cold", wider), ("warm", pmax), ("cold", maximize), ("warm", evaluate)]
+        expected = {**standalone_answers, wider: run_standalone(service_graph, wider, POOL_SEED)}
 
         async def main():
             async with QueryServer(service_graph, seed=POOL_SEED) as server:
                 for query in (pmax, evaluate):
                     server.tenant_service("warm").submit(query)
-                executors = _count_executions(server, "warm", "cold")
+                executor = _count_executions(server)
                 reader, writer = await _connect(server)
-                for index, (tenant, query) in enumerate(order):
-                    wire = {**query_to_wire(query), "tenant": tenant, "id": index}
-                    writer.write(json.dumps(wire).encode() + b"\n")
+                writer.write(b"".join(
+                    json.dumps({**query_to_wire(query), "tenant": tenant, "id": index}).encode()
+                    + b"\n"
+                    for index, (tenant, query) in enumerate(order)
+                ))
                 await writer.drain()
                 responses = [json.loads(await reader.readline()) for _ in order]
                 writer.close()
-                return responses, {name: e.submissions for name, e in executors.items()}
+                return responses, executor.submissions
 
         responses, submissions = run(main())
         assert [response["id"] for response in responses] == [0, 1, 2, 3]
         for (_, query), response in zip(order, responses):
             assert response["ok"] is True
-            assert json.dumps(response["result"], sort_keys=True) == standalone_answers[query]
-        assert submissions == {"warm": 0, "cold": 2}
+            assert json.dumps(response["result"], sort_keys=True) == expected[query]
+        assert submissions == 2  # the two misses only
 
     def test_a_hit_over_http_returns_the_same_body(
         self, service_graph, wire_queries, standalone_answers
@@ -808,7 +816,7 @@ class TestDrawFreeAnswers:
 
         async def main():
             async with QueryServer(service_graph, seed=POOL_SEED) as server:
-                (executor,) = _count_executions(server, "default").values()
+                executor = _count_executions(server)
                 miss = await _http(server, "POST", "/query", query_to_wire(query))
                 hit = await _http(server, "POST", "/query", query_to_wire(query))
                 streams = await _connect(server)
