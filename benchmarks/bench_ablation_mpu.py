@@ -15,22 +15,21 @@ import time
 from conftest import emit
 
 from repro.core.parameters import solve_parameters
-from repro.diffusion.reverse_sampling import sample_target_path
+from repro.diffusion.engine import create_engine
 from repro.experiments.reporting import format_table
+from repro.parallel.engine import collect_type1
 from repro.setcover.hypergraph import SetSystem
 from repro.setcover.msc import MSC_SOLVERS, greedy_node_cover, minimum_subset_cover
 from repro.setcover.mpu import exact_mpu
-from repro.utils.rng import ensure_rng
 
 
 def _sampled_trace_system(graph, pair, num_realizations, rng):
-    generator = ensure_rng(rng)
+    # The counted distinct type-1 sets, exactly as run_sampling_framework
+    # builds them for its MSC instance.
     friends = graph.neighbor_set(pair.source)
-    paths = [
-        sample_target_path(graph, pair.target, friends, rng=generator)
-        for _ in range(num_realizations)
-    ]
-    return SetSystem.from_target_paths(paths)
+    engine = create_engine(graph, "python")
+    members, weights = collect_type1(engine, pair.target, friends, num_realizations, rng=rng)
+    return SetSystem(members, weights)
 
 
 def test_ablation_msc_solvers(benchmark, dataset_graphs, dataset_pairs):

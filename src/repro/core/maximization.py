@@ -126,25 +126,22 @@ def maximize_acceptance_probability(
     source_friends = graph.neighbor_set(source)
     if pool is not None:
         resolve_engine(graph, pool.engine)
-        # Order-preserving columnar filter (see run_sampling_framework):
-        # type-0 traces are skipped at the column level on batch-backed
-        # pools and never become objects.
-        paths = pool.type1_paths(
+        members, weights = pool.distinct_type1(
             target, source_friends, num_realizations, stream=STREAM_REALIZATIONS
         )
-        num_type1 = len(paths)
     else:
         resolved = shared_engine(graph, engine, workers)
-        paths, num_type1 = collect_type1(
+        members, weights = collect_type1(
             resolved, target, source_friends, num_realizations, rng=ensure_rng(rng)
         )
+    num_type1 = sum(weights)
     if num_type1 == 0:
         raise AlgorithmError(
             f"none of the {num_realizations} sampled realizations was type-1; "
             "the target appears unreachable from the initiator's circle"
         )
 
-    system = SetSystem.from_target_paths(paths)
+    system = SetSystem(members, weights)
     cover = budgeted_trace_cover(system, budget)
     return MaxFriendingResult(
         invitation=cover.cover,

@@ -89,7 +89,7 @@ class RAFConfig:
         Which MSC solver to use (see :data:`repro.setcover.msc.MSC_SOLVERS`).
     engine:
         Name of the reverse-sampling backend used for every randomized step
-        (``"python"``, ``"numpy"`` or ``"auto"``; see
+        (``"python"``, ``"numpy"``, ``"numpy-alias"`` or ``"auto"``; see
         :mod:`repro.diffusion.engine`).  The default ``"python"`` engine is
         bit-compatible with pre-engine releases for a fixed seed.
     workers:
@@ -298,27 +298,26 @@ def run_sampling_framework(
     generator = ensure_rng(rng)
     source_friends = problem.source_friends
 
+    # The type-1 traces arrive as counted distinct node sets (DESIGN.md
+    # §6.5): the multiset B¹ without one object per trace.
     if pool is not None:
         resolve_engine(problem.compiled, pool.engine)
-        # Order-preserving columnar filter: on batch-backed pools the
-        # type-0 traces are skipped at the column level and never become
-        # objects (identical to filtering pool.paths, minus the cost).
-        paths = pool.type1_paths(
+        members, weights = pool.distinct_type1(
             problem.target, source_friends, num_realizations, stream=STREAM_REALIZATIONS
         )
-        num_type1 = len(paths)
     else:
         resolved = shared_engine(problem.compiled, engine, workers)
-        paths, num_type1 = collect_type1(
+        members, weights = collect_type1(
             resolved, problem.target, source_friends, num_realizations, rng=generator
         )
+    num_type1 = sum(weights)
     if num_type1 == 0:
         raise AlgorithmError(
             f"none of the {num_realizations} sampled realizations was type-1; "
             "the target appears unreachable from the initiator's circle"
         )
 
-    system = SetSystem.from_target_paths(paths)
+    system = SetSystem(members, weights)
     cover_target = max(1, math.ceil(beta * num_type1))  # ⌈β·|B¹_l|⌉
     cover = minimum_subset_cover(system, cover_target, solver=msc_solver)
     diagnostics = {

@@ -94,7 +94,6 @@ __all__ = [
     "create_engine",
     "default_engine",
     "resolve_engine",
-    "collect_type1_paths",
 ]
 
 #: Engine names accepted by :func:`create_engine` (and the CLI ``--engine`` flag).
@@ -1062,31 +1061,3 @@ def resolve_engine(
             "graph, e.g. create_engine(graph, name)"
         )
     return engine
-
-
-def collect_type1_paths(
-    engine: SamplingEngine,
-    target: NodeId,
-    stop_set: Iterable[NodeId],
-    count: int,
-    rng: RandomSource = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> tuple[list[TargetPath], int]:
-    """Draw ``count`` traces in bounded chunks, keeping only the type-1 ones.
-
-    Returns ``(type1_paths, num_type1)``.  Chunking keeps peak memory
-    proportional to ``chunk_size`` plus the type-1 yield instead of the full
-    realization count, which matters for the theory-faithful ``l``; the
-    filter runs on the columns, so type-0 traces never become objects.
-    """
-    require_non_negative_int(count, "count")
-    generator = ensure_rng(rng)
-    stop = stop_set if isinstance(stop_set, (set, frozenset)) else frozenset(stop_set)
-    type1: list[TargetPath] = []
-    remaining = count
-    while remaining > 0:
-        batch = min(chunk_size, remaining)
-        drawn = engine.sample_path_batch(target, stop, batch, rng=generator)
-        type1.extend(drawn.type1_paths_slice(0, len(drawn)))
-        remaining -= batch
-    return type1, len(type1)

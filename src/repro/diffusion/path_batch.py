@@ -27,12 +27,13 @@ travel between worker processes as packed array buffers (pickling drops
 the graph reference so only the columns cross the process boundary), are
 stored per-key by the sample pool (:class:`PathStore`), and are spilled to
 disk as ``.npz`` array blobs.  Indicator reductions (:meth:`PathBatch.
-type1_bytes`, :meth:`PathBatch.covered_bytes`) run directly on the numpy
-columns — no per-path objects are ever created on those paths.  The object
-view is kept through *lazy views*: :meth:`PathBatch.path`, iteration and
-:meth:`PathBatch.to_paths` materialize :class:`TargetPath` objects on
-demand.  See DESIGN.md §6 for the layout and the draw-compatibility
-contract.
+type1_bytes`, :meth:`PathBatch.covered_bytes`) and the counted distinct
+type-1 sets of the MSC instance (:meth:`PathBatch.distinct_type1`) run
+directly on the numpy columns — no per-path objects are ever created on
+those paths.  The object view is kept through *lazy views*:
+:meth:`PathBatch.path`, iteration and :meth:`PathBatch.to_paths`
+materialize :class:`TargetPath` objects on demand.  See DESIGN.md §6 for
+the layout and the draw-compatibility contract.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.compiled import CompiledGraph
 
 __all__ = ["TargetPath", "PathBatch", "PathStore"]
+
+_ONE = _np.ones(1, dtype=_np.int64)  # the count of a row alone in its length
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,48 +221,31 @@ class PathBatch:
         The engines' object view (``sample_paths``): same node sets, flags
         and anchors as the draws, in the same order.
         """
-        return self._materialize(start, stop, type1_only=False)
-
-    def type1_paths_slice(self, start: int, stop: int) -> list[TargetPath]:
-        """Only the type-1 paths among ``[start, stop)``, order preserved.
-
-        Skips the (useless-for-coverage) type-0 node sets entirely, so the
-        per-path ``frozenset`` cost is paid only for paths the MSC instance
-        can actually use.
-        """
-        return self._materialize(start, stop, type1_only=True)
-
-    def _materialize(self, start: int, stop: int, type1_only: bool) -> list[TargetPath]:
         if not 0 <= start <= stop <= len(self):
             raise IndexError(f"path slice [{start}, {stop}) out of range for {len(self)} paths")
         if start == stop:
             return []
-        ids = self._ids()
+        flags = self.is_type1[start:stop].tolist()
+        anchor_ids = self._ids().take(self.anchor_indices[start:stop])
+        return [
+            TargetPath(nodes, flagged, anchor if flagged else None)
+            for nodes, flagged, anchor in zip(self.node_sets(start, stop), flags, anchor_ids)
+        ]
+
+    def node_sets(self, start: int = 0, stop: int | None = None) -> list[frozenset]:
+        """Each of paths ``[start, stop)`` as the frozenset of its node ids.
+
+        Every set is built from its row's ids in walk order (one id gather
+        per call), so equal rows give sets that also iterate alike.  This
+        loop is every engine's object view, so per-path overhead counts.
+        """
+        stop = len(self) if stop is None else stop
+        if start == stop:
+            return []
         bounds = self.offsets[start : stop + 1]
-        flat = self.node_indices[int(bounds[0]) : int(bounds[-1])]
-        lengths = _np.diff(bounds)
-        flags = self.is_type1[start:stop]
-        anchors = self.anchor_indices[start:stop]
-        if type1_only:  # drop the type-0 rows on the columns, before any lookup
-            flat = flat[_np.repeat(flags, lengths)]
-            lengths, anchors, flags = lengths[flags], anchors[flags], flags[flags]
-        # One id mapping per call: a single gather over a mapped snapshot's
-        # id column, one tuple lookup per node in memory.  This loop is every
-        # engine's object view, so per-path overhead counts.
-        take = getattr(ids, "take", None)
-        if take is None:
-            lookup = ids.__getitem__
-            node_ids = list(map(lookup, flat.tolist()))
-            anchor_ids = list(map(lookup, anchors.tolist()))
-        else:
-            node_ids, anchor_ids = take(flat), take(anchors)
-        out: list[TargetPath] = []
-        append = out.append
-        lo = 0
-        for hi, flagged, anchor in zip(_np.cumsum(lengths).tolist(), flags.tolist(), anchor_ids):
-            append(TargetPath(frozenset(node_ids[lo:hi]), flagged, anchor if flagged else None))
-            lo = hi
-        return out
+        node_ids = self._ids().take(self.node_indices[int(bounds[0]) : int(bounds[-1])])
+        ends = (bounds[1:] - bounds[0]).tolist()
+        return [frozenset(node_ids[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
     # ------------------------------------------------------------------ #
     # Columnar reductions (no per-path objects)
@@ -307,16 +293,63 @@ class PathBatch:
         all_invited = _np.logical_and.reduceat(member, starts)
         return (self.is_type1[start:stop] & all_invited).tobytes()
 
-    def select_type1(self) -> "PathBatch":
-        """The type-1 subset as a new batch (order preserved)."""
-        keep = self.is_type1
-        lengths = _np.diff(self.offsets)
-        node_indices = self.node_indices[_np.repeat(keep, lengths)]
-        kept_lengths = lengths[keep]
-        offsets = _np.zeros(kept_lengths.size + 1, dtype=_np.int64)
-        _np.cumsum(kept_lengths, out=offsets[1:])
+    def distinct_type1(self, start: int = 0, stop: int | None = None) -> tuple[list, list]:
+        """The distinct node sets among the type-1 paths in ``[start, stop)``.
+
+        Returns ``(members, weights)`` in order of first occurrence: what a
+        ``Counter`` over the type-1 paths' node sets gives, each member
+        built as :meth:`paths_slice` builds its first occurrence
+        (DESIGN.md §6.5).
+        """
+        rows, counts = self.distinct_type1_rows(start, stop)
+        return rows.node_sets(), counts.tolist()
+
+    def distinct_type1_rows(self, start: int = 0, stop: int | None = None):
+        """:meth:`distinct_type1` as columns: ``(first occurrences as a batch, counts)``.
+
+        Two rows are one set iff their sorted node indices are equal (a walk
+        never revisits a node): rows are grouped by length and compared as
+        sorted byte strings, exactly.
+        """
+        stop = len(self) if stop is None else stop
+        if not 0 <= start <= stop <= len(self):
+            raise IndexError(f"path slice [{start}, {stop}) out of range for {len(self)} paths")
+        offsets = self.offsets
+        rows = start + _np.flatnonzero(self.is_type1[start:stop])
+        if rows.size == 0:
+            return self._rows(rows), _np.zeros(0, dtype=_np.int64)
+        lengths = offsets[rows + 1] - offsets[rows]
+        order = _np.argsort(lengths, kind="stable")  # rows stay in order within a length
+        rows, lengths = rows[order], lengths[order]
+        edges = [0, *(_np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), rows.size]
+        firsts, counts = [], []
+        for lo, hi in zip(edges, edges[1:]):
+            group = rows[lo:hi]
+            if hi - lo == 1:
+                firsts.append(group)
+                counts.append(_ONE)
+                continue
+            length = int(lengths[lo])
+            cells = offsets[group][:, None] + _np.arange(length)
+            block = _np.sort(self.node_indices[cells], axis=1)
+            keys = block.view(_np.dtype((_np.void, block.itemsize * length))).ravel()
+            _, first, count = _np.unique(keys, return_index=True, return_counts=True)
+            firsts.append(group[first])
+            counts.append(count)
+        firsts_all = _np.concatenate(firsts)
+        order = _np.argsort(firsts_all)
+        return self._rows(firsts_all[order]), _np.concatenate(counts)[order]
+
+    def _rows(self, rows) -> "PathBatch":
+        """The paths at positions ``rows``, in that order, as a new batch."""
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        offsets = _np.zeros(rows.size + 1, dtype=_np.int64)
+        _np.cumsum(lengths, out=offsets[1:])
+        cells = _np.repeat(starts - offsets[:-1], lengths) + _np.arange(offsets[-1])
         return PathBatch(
-            offsets, node_indices, self.is_type1[keep], self.anchor_indices[keep], self.graph
+            offsets, self.node_indices[cells], self.is_type1[rows], self.anchor_indices[rows],
+            self.graph,
         )
 
     # ------------------------------------------------------------------ #
@@ -383,6 +416,7 @@ class PathStore:
 
     @property
     def num_chunks(self) -> int:
+        """How many chunks the store holds."""
         return len(self._chunks)
 
     def chunks(self) -> tuple:
@@ -415,12 +449,20 @@ class PathStore:
             out.extend(chunk.paths_slice(lo, hi))
         return out
 
-    def type1_slice(self, start: int, stop: int) -> list[TargetPath]:
-        """Only the type-1 paths among ``[start, stop)``, order preserved."""
-        out: list[TargetPath] = []
+    def distinct_type1(self, start: int, stop: int) -> tuple[list, list]:
+        """:meth:`PathBatch.distinct_type1` of paths ``[start, stop)``, chunk by chunk.
+
+        Each chunk is reduced against its own snapshot (chunks retained
+        across a re-snapshot may differ in interning), so a set drawn in
+        two chunks appears once per chunk, until ``SetSystem.deduplicate``.
+        """
+        members: list = []
+        weights: list = []
         for chunk, lo, hi in self._segments(start, stop):
-            out.extend(chunk.type1_paths_slice(lo, hi))
-        return out
+            sets, counts = chunk.distinct_type1(lo, hi)
+            members += sets
+            weights += counts
+        return members, weights
 
     def type1_bytes(self, start: int, stop: int) -> bytes:
         """Type indicators of paths ``[start, stop)``, one byte each."""

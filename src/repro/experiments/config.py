@@ -56,7 +56,7 @@ class ExperimentConfig:
         theoretical prescription).
     engine:
         Reverse-sampling backend name used by the RAF runs and the pair
-        screens (``"python"``, ``"numpy"`` or ``"auto"``).
+        screens (``"python"``, ``"numpy"``, ``"numpy-alias"`` or ``"auto"``).
     workers:
         Sampling worker processes used by the RAF runs (a positive integer
         or ``"auto"``; ``None`` keeps the single-stream path).  Seeded

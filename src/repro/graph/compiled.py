@@ -222,11 +222,12 @@ def compute_csr_digest(nodes, indptr, parents, cum_weights, count: int | None = 
     little-endian bytes of ``indptr``, ``parents`` and ``cum_weights`` --
     byte-for-byte the material the sample pool has always hashed, so
     digests computed here agree with every previously written spill tag.
-    It covers the interned ids and the full weighted adjacency, so any
-    change that could alter a sampled path changes the digest; the alias
-    columns are a pure function of these arrays and need no separate
-    coverage.  Works on stdlib arrays and memory-mapped columns alike
-    (columns are streamed in bounded chunks).
+    It covers the interned ids and the full weighted adjacency.  The
+    derived ``totals`` and alias columns are functions of these arrays
+    but are stored, not digested: :meth:`CompiledGraph.verify_integrity`
+    checks them against the digested columns instead.  Works on stdlib
+    arrays and memory-mapped columns alike (columns are streamed in
+    bounded chunks).
     """
     digest = hashlib.sha256()
     _digest_nodes(digest.update, nodes, len(nodes) if count is None else count)
@@ -256,9 +257,11 @@ def build_alias_tables(indptr, cum_weights, totals, alias_prob, alias_index) -> 
     evaluation order, so the produced columns are bit-identical whichever
     buffer types are passed -- stdlib ``array`` columns of an in-memory
     snapshot or the memory-mapped ``.npy`` columns the streaming compiler
-    writes -- and any digest covering the CSR arrays fingerprints the
-    tables too.  Nodes with zero total weight get the identity table as a
-    benign placeholder (they are unreachable conditional on "no stop").
+    writes.  The CSR digest does not cover the tables; on disk they are
+    checked against the digested columns by
+    :meth:`CompiledGraph.verify_integrity`.  Nodes with zero total weight
+    get the identity table as a benign placeholder (they are unreachable
+    conditional on "no stop").
     """
     num_nodes = len(indptr) - 1
     for v in range(num_nodes):
@@ -653,8 +656,10 @@ class CompiledGraph:
         the on-disk bytes (bounded memory) and raises
         :class:`~repro.exceptions.SnapshotIntegrityError` -- naming the
         snapshot directory -- if the columns no longer match the digest
-        ``meta.json`` recorded, or if the recorded ``contiguous_ids`` flag
-        misdescribes the ids.
+        ``meta.json`` recorded, if the recorded ``contiguous_ids`` flag
+        misdescribes the ids, or if a derived column the digest does not
+        cover (``totals``, the alias tables) disagrees with the digested
+        ones (:meth:`_verify_derived_columns`).
         """
         recomputed = compute_csr_digest(self.nodes, self.indptr, self.parents, self.cum_weights)
         if self._digest is None:
@@ -673,7 +678,66 @@ class CompiledGraph:
                     f"snapshot {self._directory} failed integrity verification: "
                     "meta.json misdeclares contiguous_ids"
                 )
+        self._verify_derived_columns()
         return recomputed
+
+    def _verify_derived_columns(self) -> None:
+        """Check ``totals`` and the alias tables against the digested columns.
+
+        Row by row: ``totals`` is bit for bit the last running weight
+        (``0.0`` when empty); alias indices are node-local in ``[0,
+        degree)``, probabilities in ``[0, 1]``, and a cell aliases itself
+        iff its probability is 1 (as :func:`build_alias_tables` lays them
+        out); each edge's alias mass -- its cell's probability plus the
+        leftovers of the cells aliasing to it, over the degree -- is within
+        ``1e-9`` of its weight over the total (zero-total rows hold
+        placeholders).  Runs over node ranges of about
+        :data:`_STREAM_CHUNK` entries, so memory stays bounded.
+        """
+        indptr = _np.asarray(self.indptr, dtype=_np.int64)
+        num_nodes, first = len(indptr) - 1, 0
+        while first < num_nodes:
+            end = int(_np.searchsorted(indptr, indptr[first] + _STREAM_CHUNK, "right")) - 1
+            last = min(num_nodes, max(first + 1, end))
+            problem = self._derived_problem(first, indptr[first : last + 1])
+            if problem is not None:
+                raise SnapshotIntegrityError(
+                    f"snapshot {self._directory or '<in-memory>'} failed integrity "
+                    f"verification: {problem}"
+                )
+            first = last
+
+    def _derived_problem(self, first: int, bounds) -> "str | None":
+        """The first problem in the derived columns of the nodes from ``first`` whose
+        CSR row pointers are ``bounds``, or ``None``."""
+        lo, hi = int(bounds[0]), int(bounds[-1])
+        starts, degrees = bounds[:-1] - lo, _np.diff(bounds)
+        running = _np.asarray(self.cum_weights[lo:hi], dtype=_np.float64)
+        totals = _np.asarray(self.totals[first : first + degrees.size], dtype=_np.float64)
+        full = degrees > 0
+        expected = _np.zeros(degrees.size)
+        expected[full] = running[starts[full] + degrees[full] - 1]
+        if not _np.array_equal(totals.view(_np.int64), expected.view(_np.int64)):
+            return "totals is not each row's last running weight"
+        if self._alias is None or hi == lo:  # an in-memory snapshot builds its tables lazily
+            return None
+        prob = _np.asarray(self._alias[0][lo:hi], dtype=_np.float64)
+        index = _np.asarray(self._alias[1][lo:hi], dtype=_np.int64)
+        owner = _np.repeat(_np.arange(degrees.size), degrees)
+        degree = degrees[owner]
+        if not ((index >= 0) & (index < degree) & (prob >= 0.0) & (prob <= 1.0)).all():
+            return "alias entries are out of range"
+        if not _np.array_equal(index == _np.arange(hi - lo) - starts[owner], prob == 1.0):
+            return "alias cells disagree with their probabilities"
+        weight = running.copy()
+        weight[1:] -= running[:-1]
+        weight[starts[full]] = running[starts[full]]
+        mass = prob + _np.bincount(starts[owner] + index, 1.0 - prob, hi - lo)
+        live = totals[owner] > 0.0
+        error = mass[live] / degree[live] - weight[live] / totals[owner][live]
+        if not (_np.abs(error) <= 1e-9).all():
+            return "alias tables do not encode the edge weights"
+        return None
 
     # ------------------------------------------------------------------ #
     # Interning

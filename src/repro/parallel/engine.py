@@ -89,7 +89,6 @@ from repro.diffusion.engine import (
     SamplingEngine,
     TargetPath,
     canonical_engine_name,
-    collect_type1_paths,
     pack_walks,
     plan_groups,
     reduce_walks,
@@ -295,10 +294,9 @@ def _run_with_fault(directives, run_pooled, payload):
 
 
 # Walk reducers.  Applied worker-side so a walk's IPC cost is one byte per
-# sample (indicators) or only the useful paths (type-1 filtering) instead of
-# every path; must be top-level functions so they pickle by reference.  Each
-# reduces a walk's columns directly, building no per-path objects, and a
-# walk's reduction is its chunks' reductions concatenated.
+# sample (indicators) or only the distinct type-1 sets instead of every
+# path; must be top-level functions so they pickle by reference.  Each
+# reduces a walk's columns directly, building no per-path objects.
 def _type1_indicator_bytes(batch: PathBatch, _arg) -> bytes:
     return batch.type1_bytes()
 
@@ -307,8 +305,10 @@ def _covered_indicator_bytes(batch: PathBatch, invited: frozenset) -> bytes:
     return batch.covered_bytes(invited)
 
 
-def _type1_paths_only(batch: PathBatch, _arg) -> PathBatch:
-    return batch.select_type1()  # ships as packed columns, type-1 only
+def _distinct_type1_rows(batch: PathBatch, _arg) -> tuple:
+    # The first occurrence of each distinct type-1 set as packed columns,
+    # plus the counts; the parent merges walks (DESIGN.md §6.5).
+    return batch.distinct_type1_rows()
 
 
 def _even_walks(chunks: list, tasks: int) -> list:
@@ -684,7 +684,9 @@ class ParallelEngine:
 
         ``reducer(batch, arg)`` must be a top-level (picklable) function
         whose value on a walk is its values on the walk's chunks
-        concatenated; its per-walk results are returned in walk order.
+        concatenated -- or, for the distinct type-1 sets, merges to them --
+        so the answer does not depend on how chunks fuse into walks; its
+        per-walk results are returned in walk order.
         Chunk layout and seeds are exactly those of :meth:`sample_paths`,
         so a reduction over ``sample_reduced`` sees the same paths
         ``sample_paths`` would return -- the reduction only moves *where*
@@ -1038,22 +1040,33 @@ def collect_type1(
     stop_set: Iterable[NodeId],
     count: int,
     rng: RandomSource = None,
-) -> tuple[list[TargetPath], int]:
-    """Draw ``count`` traces, keeping only the type-1 ones.
+) -> tuple[list[frozenset], list[int]]:
+    """Draw ``count`` traces and count the distinct type-1 node sets.
 
-    The parallel counterpart of
-    :func:`repro.diffusion.engine.collect_type1_paths` (to which it defers
-    for non-parallel engines): with a :class:`ParallelEngine` the type-0
-    paths are dropped inside the workers and never cross the process
-    boundary.
+    Returns ``(members, weights)``: walk by walk, the walk's
+    :meth:`~repro.diffusion.path_batch.PathBatch.distinct_type1`.  A set
+    drawn in two walks appears once per walk until
+    ``SetSystem.deduplicate`` merges them.  A :class:`ParallelEngine`
+    reduces each walk where it is drawn, so only distinct rows cross the
+    process boundary; a plain engine draws on the caller's generator in
+    walks of :data:`WALK_SIZE` paths, so memory is bounded by the walk.
     """
     if isinstance(engine, ParallelEngine):
         compiled = engine.compiled
-        chunks = engine.sample_reduced(target, stop_set, count, rng, _type1_paths_only)
-        paths: list[TargetPath] = []
-        for chunk in chunks:
-            # Packed type-1 columns off the wire; objects built here, once,
-            # only for the paths the MSC instance will consume.
-            paths.extend(chunk.attach(compiled).to_paths())
-        return paths, len(paths)
-    return collect_type1_paths(engine, target, stop_set, count, rng=rng)
+        reduced = engine.sample_reduced(target, stop_set, count, rng, _distinct_type1_rows)
+        walks = [(rows.attach(compiled), counts) for rows, counts in reduced]
+    else:
+        require_non_negative_int(count, "count")
+        generator = ensure_rng(rng)
+        stop = stop_set if isinstance(stop_set, (set, frozenset)) else frozenset(stop_set)
+        walks = []
+        for drawn in range(0, count, WALK_SIZE):
+            size = min(WALK_SIZE, count - drawn)
+            batch = engine.sample_path_batch(target, stop, size, rng=generator)
+            walks.append(batch.distinct_type1_rows())
+    members: list[frozenset] = []
+    weights: list[int] = []
+    for rows, counts in walks:
+        members += rows.node_sets()
+        weights += counts.tolist()
+    return members, weights

@@ -692,16 +692,16 @@ class SamplePool:
         """
         return self._serve(target, stop_set, count, stream, PathStore.slice)
 
-    def type1_paths(
+    def distinct_type1(
         self, target: NodeId, stop_set: Iterable[NodeId], count: int, stream: str = ""
-    ) -> list[TargetPath]:
-        """Only the type-1 paths among the stream's first ``count`` samples.
+    ) -> tuple[list, list]:
+        """The counted distinct type-1 node sets of the stream's first ``count`` samples.
 
-        Order-preserving, so it equals filtering :meth:`paths` -- but on
-        columnar chunks the type-0 traces are skipped at the column level
-        and never become objects.
+        ``(members, weights)`` chunk by chunk
+        (:meth:`~repro.diffusion.path_batch.PathStore.distinct_type1`); no
+        path becomes an object.
         """
-        return self._serve(target, stop_set, count, stream, PathStore.type1_slice)
+        return self._serve(target, stop_set, count, stream, PathStore.distinct_type1)
 
     def type1_indicators(
         self, target: NodeId, stop_set: Iterable[NodeId], count: int, stream: str = ""

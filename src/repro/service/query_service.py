@@ -90,6 +90,17 @@ __all__ = [
 ]
 
 
+def _require_node_ids(query) -> None:
+    """Refuse an unhashable ``source``/``target`` (a JSON array or object):
+    unrefused, it would fail inside coalescing, not as a malformed request."""
+    for name in ("source", "target"):
+        try:
+            hash(getattr(query, name))
+        except TypeError:
+            kind = type(getattr(query, name)).__name__
+            raise TypeError(f"{name} must be a node id (a hashable value), got {kind}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class PmaxQuery:
     """A stopping-rule ``pmax`` estimation request (Alg. 2)."""
@@ -103,6 +114,7 @@ class PmaxQuery:
     kind = "pmax"
 
     def __post_init__(self) -> None:
+        _require_node_ids(self)
         require_positive(self.epsilon, "epsilon")
         require_positive(self.confidence_n, "confidence_n")
         require_positive_int(self.max_samples, "max_samples")
@@ -124,6 +136,7 @@ class EvaluateQuery:
     kind = "evaluate"
 
     def __post_init__(self) -> None:
+        _require_node_ids(self)
         if not isinstance(self.invitation, frozenset):
             object.__setattr__(self, "invitation", frozenset(self.invitation))
         require_positive_int(self.num_samples, "num_samples")
@@ -145,6 +158,7 @@ class MaximizeQuery:
     kind = "maximize"
 
     def __post_init__(self) -> None:
+        _require_node_ids(self)
         require_positive_int(self.budget, "budget")
         require_positive_int(self.num_realizations, "num_realizations")
 
@@ -363,9 +377,10 @@ class QueryService:
     graph:
         The weighted friendship graph every query runs against.
     engine:
-        Reverse-sampling backend name (``"python"``, ``"numpy"``, ``"auto"``)
-        or an engine instance built on ``graph``.  The service closes only
-        an engine it built; a passed-in instance stays its caller's.
+        Reverse-sampling backend name (``"python"``, ``"numpy"``,
+        ``"numpy-alias"``, ``"auto"``) or an engine instance built on
+        ``graph``.  The service closes only an engine it built; a passed-in
+        instance stays its caller's.
     workers:
         Optional worker-process fan-out for the sampling batches (a positive
         integer or ``"auto"``); results are identical for every worker count.

@@ -166,13 +166,3 @@ class SetSystem:
             counter[member] += weight
         members = list(counter.keys())
         return SetSystem(members, weights=[counter[m] for m in members])
-
-    @classmethod
-    def from_target_paths(cls, paths: Iterable) -> "SetSystem":
-        """Build a system from :class:`~repro.diffusion.reverse_sampling.TargetPath` objects.
-
-        Only type-1 paths are included (type-0 realizations can never be
-        covered, Corollary 1), each with multiplicity 1; call
-        :meth:`deduplicate` afterwards to collapse repeats.
-        """
-        return cls(path.nodes for path in paths if path.is_type1)

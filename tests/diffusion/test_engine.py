@@ -6,6 +6,7 @@ The shared suite runs against every named engine stream.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,9 +14,9 @@ from repro.core.parameters import SamplePolicy
 from repro.core.problem import ActiveFriendingProblem
 from repro.core.raf import RAFConfig, run_raf
 from repro.diffusion.engine import (
+    DEFAULT_CHUNK_SIZE,
     ENGINE_NAMES,
     PythonEngine,
-    collect_type1_paths,
     create_engine,
     default_engine,
 )
@@ -23,6 +24,8 @@ from repro.diffusion.friending_process import estimate_acceptance_probability
 from repro.diffusion.realization import forward_process, sample_realization
 from repro.exceptions import EngineError, EstimationError, NodeNotFoundError
 from repro.graph.compiled import compile_graph
+from repro.parallel.engine import collect_type1
+from repro.setcover.hypergraph import SetSystem
 
 ENGINES = [name for name in ENGINE_NAMES if name != "auto"]
 
@@ -139,17 +142,27 @@ class TestEngineProperties:
         paths = engine.sample_paths("t", {"a", "ghost"}, 50, rng=5)
         assert len(paths) == 50
 
-    def test_collect_type1_paths_chunked(self, small_ba_graph, engine_name):
+    def test_collect_type1_counts_the_walk_chunked_stream(self, small_ba_graph, engine_name):
         engine = create_engine(small_ba_graph, engine_name)
         stop = small_ba_graph.neighbor_set(0)
-        paths, count = collect_type1_paths(engine, 50, stop, 500, rng=9, chunk_size=64)
-        assert count == len(paths)
-        assert all(path.is_type1 for path in paths)
-        # Chunking must not change the draw: one big batch gives the same
-        # type-1 yield for the same seed on the deterministic python engine.
+        count = DEFAULT_CHUNK_SIZE + 500
+        members, weights = collect_type1(engine, 50, stop, count, rng=9)
+        # A plain engine draws walks of DEFAULT_CHUNK_SIZE paths on the
+        # caller's generator; the counted sets are that stream's type-1 paths.
+        generator = random.Random(9)
+        paths = engine.sample_paths(50, stop, DEFAULT_CHUNK_SIZE, rng=generator)
+        paths += engine.sample_paths(50, stop, 500, rng=generator)
+        counted = Counter(path.nodes for path in paths if path.is_type1)
+        assert sum(weights) == sum(counted.values())
+        deduped = SetSystem(members, weights).deduplicate()
+        assert deduped.sets() == tuple(counted)
+        assert deduped.weights() == tuple(counted.values())
         if engine_name == "python":
-            whole = [p for p in engine.sample_paths(50, stop, 500, rng=9) if p.is_type1]
-            assert [p.nodes for p in paths] == [p.nodes for p in whole]
+            # The python engine's stream does not depend on how it is cut.
+            whole = engine.sample_paths(50, stop, count, rng=9)
+            assert [p.nodes for p in whole if p.is_type1] == [
+                p.nodes for p in paths if p.is_type1
+            ]
 
 
 class TestPythonEngineBitCompat:

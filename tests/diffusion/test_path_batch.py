@@ -5,7 +5,7 @@ Three layers of guarantees:
 * **Round-trip fidelity** (property-based, derandomized): batch views
   materialize exactly the :class:`TargetPath` objects they were built
   from, and every columnar reduction (type indicators, Lemma-2 coverage,
-  type-1 selection) agrees with the object-path computation.
+  counted distinct type-1 sets) agrees with the object-path computation.
 * **Kernel equivalence**: the vectorized engine's columnar kernel is
   draw-for-draw identical to the retained per-walker reference kernel
   (``sample_paths_reference``) -- the bit-identity discipline that keeps
@@ -19,6 +19,9 @@ from __future__ import annotations
 import pickle
 import random
 import tracemalloc
+from collections import Counter
+
+import numpy as np
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,6 +34,7 @@ from repro.graph.compiled import compile_graph
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.social_graph import SocialGraph
 from repro.graph.weights import apply_degree_normalized_weights
+from repro.setcover.hypergraph import SetSystem
 
 SETTINGS = settings(
     max_examples=25,
@@ -83,7 +87,8 @@ class TestRoundTrip:
         hi = lo + width
         assert batch.paths_slice(lo, hi) == paths[lo:hi]
         assert batch.type1_bytes(lo, hi) == bytes(1 if p.is_type1 else 0 for p in paths[lo:hi])
-        assert batch.type1_paths_slice(lo, hi) == [p for p in paths[lo:hi] if p.is_type1]
+        counted = Counter(p.nodes for p in paths[lo:hi] if p.is_type1)
+        assert batch.distinct_type1(lo, hi) == (list(counted), list(counted.values()))
         if width:
             assert batch.path(lo) == paths[lo]
 
@@ -103,15 +108,42 @@ class TestRoundTrip:
             1 if p.covered_by(invited) else 0 for p in paths
         )
 
-    def test_select_type1(self, setting):
+    def test_distinct_type1_rows(self, setting):
         graph, target, stop = setting
         engine = PythonEngine(graph)
         paths = engine.sample_paths(target, stop, 400, rng=5)
         batch = engine.sample_path_batch(target, stop, 400, rng=5)
-        selected = batch.select_type1()
-        expected = [p for p in paths if p.is_type1]
-        assert selected.to_paths() == expected
-        assert bytes(selected.type1_bytes()) == b"\x01" * len(expected)
+        rows, counts = batch.distinct_type1_rows()
+        firsts: dict = {}
+        for path in paths:
+            if path.is_type1:
+                firsts.setdefault(path.nodes, path)
+        assert rows.to_paths() == list(firsts.values())
+        assert bytes(rows.type1_bytes()) == b"\x01" * len(firsts)
+        counted = Counter(p.nodes for p in paths if p.is_type1)
+        assert counts.tolist() == [counted[nodes] for nodes in firsts]
+
+    def test_distinct_type1_skips_type0_rows_with_the_same_nodes(self, graph):
+        # Rows 0, 2 and 3 trace {0, 1} (row 3 in another walk order); row 2
+        # is type-0 and must not count.
+        compiled = compile_graph(graph)
+        batch = PathBatch(
+            np.array([0, 2, 3, 5, 7, 8], dtype=np.int64),
+            np.array([0, 1, 2, 1, 0, 1, 0, 3], dtype=np.int64),
+            np.array([True, True, False, True, True]),
+            np.array([5, 6, -1, 5, 7], dtype=np.int64),
+            compiled,
+        )
+        ids = compiled.nodes
+        members, weights = batch.distinct_type1()
+        pair = frozenset({ids[0], ids[1]})
+        assert members == [pair, frozenset({ids[2]}), frozenset({ids[3]})]
+        assert weights == [2, 1, 1]
+        assert batch.distinct_type1(2, 5) == ([pair, frozenset({ids[3]})], [1, 1])
+        assert batch.distinct_type1(2, 3) == ([], [])
+        assert PathBatch.empty(compiled).distinct_type1() == ([], [])
+        with pytest.raises(IndexError):
+            batch.distinct_type1(0, 6)
 
     def test_empty_batch(self, graph):
         batch = PathBatch.empty(compile_graph(graph))
@@ -372,6 +404,10 @@ class TestPathStore:
             assert store.covered_bytes(lo, hi, invited) == bytes(
                 1 if p.covered_by(invited) else 0 for p in everything[lo:hi]
             )
-            assert store.type1_slice(lo, hi) == [p for p in everything[lo:hi] if p.is_type1]
+            members, weights = store.distinct_type1(lo, hi)
+            counted = Counter(p.nodes for p in everything[lo:hi] if p.is_type1)
+            deduped = SetSystem(members, weights).deduplicate()
+            assert deduped.sets() == tuple(counted)
+            assert deduped.weights() == tuple(counted.values())
         with pytest.raises(IndexError):
             store.slice(0, 161)

@@ -12,12 +12,16 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.cli import main
@@ -29,6 +33,7 @@ from repro.exceptions import (
     SnapshotVersionError,
 )
 from repro.graph.compiled import (
+    SNAPSHOT_COLUMNS,
     SNAPSHOT_VERSION,
     CompiledGraph,
     compile_graph,
@@ -274,6 +279,59 @@ class TestRejection:
         mapped = CompiledGraph.open(path)
         with pytest.raises(SnapshotIntegrityError):
             mapped.verify_integrity()
+
+
+class TestFlippedBytes:
+    """One flipped byte in any column fails ``open(verify=True)`` with a typed error.
+
+    The digest covers nodes, indptr, parents and cum_weights; ``totals`` is
+    checked bit for bit, so any byte of those five may flip.  The alias
+    columns are checked by range, by the self-alias rule and by per-edge
+    mass within 1e-9, so a low-order mantissa flip of ``alias_prob``
+    (a change near 1e-15) passes by design; their flips hit the most
+    significant byte, the sign and high exponent of a float.
+    """
+
+    @pytest.fixture(scope="class")
+    def pristine(self, tmp_path_factory):
+        graph = apply_degree_normalized_weights(
+            barabasi_albert_graph(80, 3, rng=SEED, name="snap-ba")
+        )
+        return compile_graph(graph).save(tmp_path_factory.mktemp("pristine") / "snap")
+
+    def test_pristine_snapshot_verifies(self, pristine):
+        CompiledGraph.open(pristine, verify=True)
+
+    @given(data=st.data())
+    @settings(
+        max_examples=30,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_one_flipped_byte_per_column_is_refused(self, pristine, data):
+        for name in SNAPSHOT_COLUMNS:
+            column = np.load(pristine / f"{name}.npy")
+            entry = data.draw(st.integers(0, column.size - 1), label=f"{name} entry")
+            derived = name in ("alias_prob", "alias_index")
+            byte = 7 if derived else data.draw(st.integers(0, 7), label=f"{name} byte")
+            mask = data.draw(st.integers(1, 255), label=f"{name} mask")
+            column.view(np.uint8)[8 * entry + byte] ^= mask
+            with tempfile.TemporaryDirectory() as scratch:
+                copy = shutil.copytree(pristine, Path(scratch) / "snap")
+                np.save(copy / f"{name}.npy", column)
+                with pytest.raises(SnapshotError):
+                    CompiledGraph.open(copy, verify=True)
+
+    @pytest.mark.parametrize("name", ["totals", "alias_prob", "alias_index"])
+    def test_flipped_derived_column_names_the_check(self, pristine, tmp_path, name):
+        copy = shutil.copytree(pristine, tmp_path / "snap")
+        column = np.load(copy / f"{name}.npy")
+        column.view(np.uint8)[8 * (column.size // 2) + 7] ^= 0x40
+        np.save(copy / f"{name}.npy", column)
+        CompiledGraph.open(copy)  # the digest alone does not see it...
+        with pytest.raises(SnapshotIntegrityError, match="totals|alias"):
+            CompiledGraph.open(copy, verify=True)  # ...the derived checks do
 
 
 class TestEngineBitIdentity:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.pool import (
     SamplePool,
     pool_key_digest,
 )
+from repro.setcover.hypergraph import SetSystem
 from repro.types import ordered
 
 ENGINES = [name for name in ENGINE_NAMES if name != "auto"]
@@ -494,11 +496,14 @@ class TestReaderIndicators:
 
 class TestTypeOnePaths:
     @pytest.mark.parametrize("name", ENGINES)
-    def test_type1_paths_equals_filtering(self, setting, name):
+    def test_distinct_type1_counts_the_stream(self, setting, name):
         graph, target, stop = setting
         pool = SamplePool(create_engine(graph, name), seed=11)
-        filtered = [p for p in pool.paths(target, stop, 2000) if p.is_type1]
-        assert pool.type1_paths(target, stop, 2000) == filtered
+        counted = Counter(p.nodes for p in pool.paths(target, stop, 2000) if p.is_type1)
+        members, weights = pool.distinct_type1(target, stop, 2000)
+        deduped = SetSystem(members, weights).deduplicate()
+        assert deduped.sets() == tuple(counted)
+        assert deduped.weights() == tuple(counted.values())
 
 
 class TestColumnarPool:
@@ -524,7 +529,9 @@ class TestColumnarPool:
         assert pool.covered_indicators(target, stop, 1500, invited) == bytes(
             1 if p.covered_by(invited) else 0 for p in paths
         )
-        assert pool.type1_paths(target, stop, 1500) == [p for p in paths if p.is_type1]
+        members, weights = pool.distinct_type1(target, stop, 1500)
+        counted = Counter(p.nodes for p in paths if p.is_type1)
+        assert SetSystem(members, weights).deduplicate().weights() == tuple(counted.values())
 
     def test_parallel_columnar_matches_serial(self, setting):
         graph, target, stop = setting

@@ -130,6 +130,8 @@ class TestServeMalformedRequests:
             ('{"op": "frobnicate"}', "unknown op"),
             ('{"op": "pmax", "source": 0, "target": 50, "epsilon": -1.0}', "epsilon"),
             ('{"op": "pmax", "bogus_field": 1}', "bogus_field"),
+            ('{"op": "pmax", "source": [0], "target": 50}', "source must be a node id"),
+            ('{"op": "maximize", "source": 0, "target": {"id": 50}}', "target must be a node id"),
         ],
     )
     def test_malformed_request_exits_nonzero_with_diagnostic(

@@ -478,6 +478,16 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             MaximizeQuery(0, 1, budget=0)
 
+    @pytest.mark.parametrize("cls", [PmaxQuery, EvaluateQuery, MaximizeQuery])
+    def test_unhashable_node_fields_rejected_at_construction(self, cls):
+        # A JSON array or object off the wire must be refused here, before
+        # coalescing hashes the query.
+        with pytest.raises(TypeError, match="source must be a node id"):
+            cls([0], 1)
+        with pytest.raises(TypeError, match="target must be a node id"):
+            cls(0, {"id": 1})
+        assert hash(cls((0, 1), 2))  # any hashable id is left to the graph
+
     def test_invitation_iterables_are_canonicalized(self):
         assert EvaluateQuery(0, 1, invitation=[3, 2, 3]) == EvaluateQuery(
             0, 1, invitation=frozenset({2, 3})

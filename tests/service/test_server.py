@@ -262,6 +262,11 @@ class TestJsonlProtocol:
             b'{"op": "evaluate", "source": 1, "target": 2, "deadline_ms": Infinity}\n',
             b'{"op": "evaluate", "source": 1, "target": 2, "deadline_ms": 1e400}\n',
             b'{"op": "evaluate", "source": 1, "num_samples": 48}\n',
+            b'{"op": "pmax", "source": [1], "target": 2}\n',
+            b'{"op": "pmax", "source": 1, "target": {"id": 2}}\n',
+            b'{"op": "evaluate", "source": {}, "target": 2}\n',
+            b'{"op": "maximize", "source": 1, "target": [2, 3]}\n',
+            b'{"op": "evaluate", "source": 1, "target": 2, "invitation": [[3]]}\n',
         ],
     )
     def test_malformed_requests_answer_then_close(self, service_graph, line):
@@ -347,6 +352,26 @@ class TestHttp:
         (missing_status, _), (wrong_status, _) = run(main())
         assert missing_status == 404
         assert wrong_status == 405
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"op": "pmax", "source": [1], "target": 2},
+            {"op": "maximize", "source": 1, "target": {"id": 2}},
+        ],
+    )
+    def test_unhashable_node_fields_answer_400(self, service_graph, wire_queries, body):
+        async def main():
+            async with QueryServer(service_graph, seed=POOL_SEED) as server:
+                refused = await _http(server, "POST", "/query", body)
+                served = await _http(server, "POST", "/query", query_to_wire(wire_queries[1]))
+                return refused, served, server.stats()
+
+        (status, document), (served_status, _), stats = run(main())
+        assert status == 400
+        assert document["ok"] is False and document["error_type"] == "malformed"
+        assert served_status == 200  # the server keeps answering
+        assert stats["server"]["malformed_total"] == 1
 
     def test_budget_exhaustion_maps_to_429(self, service_graph, wire_queries):
         query = wire_queries[1]  # costs 48 sample units

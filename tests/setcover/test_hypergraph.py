@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.diffusion.reverse_sampling import TargetPath
 from repro.exceptions import SetCoverError
 from repro.setcover.hypergraph import SetSystem
 
@@ -91,13 +90,15 @@ class TestDeduplicate:
         assert deduped.weight(0) == 7
 
 
-class TestFromTargetPaths:
-    def test_only_type1_paths_included(self):
-        paths = [
-            TargetPath(nodes=frozenset({"t"}), is_type1=True, anchor="a"),
-            TargetPath(nodes=frozenset({"t", "x"}), is_type1=False),
-            TargetPath(nodes=frozenset({"t", "y"}), is_type1=True, anchor="a"),
-        ]
-        system = SetSystem.from_target_paths(paths)
-        assert system.num_sets == 2
-        assert system.universe == frozenset({"t", "y"})
+class TestCountedMembers:
+    def test_counted_sets_equal_their_repeats(self):
+        # The sampling layers hand covers counted distinct sets, one entry
+        # per walk; deduplicate merges the walks into the repeated system.
+        repeated = SetSystem([{"t"}, {"t", "y"}, {"t"}, {"t"}, {"t", "y"}])
+        counted = SetSystem([{"t"}, {"t", "y"}, {"t"}, {"t", "y"}], weights=[2, 1, 1, 1])
+        assert counted.total_weight == repeated.total_weight == 5
+        assert counted.universe == frozenset({"t", "y"})
+        assert counted.deduplicate().sets() == repeated.deduplicate().sets()
+        assert counted.deduplicate().weights() == repeated.deduplicate().weights() == (3, 2)
+        for nodes in ({"t"}, {"t", "y"}, set()):
+            assert counted.covered_weight(nodes) == repeated.covered_weight(nodes)
