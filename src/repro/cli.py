@@ -31,9 +31,9 @@ Every command accepts ``--seed`` for reproducibility and either
 (a SNAP file, weighted with the paper's 1/|N_v| convention on load).
 Sampling-heavy commands additionally accept ``--engine`` (backend) and
 ``--workers N|auto`` (multi-process sampling fan-out; seeded results are
-identical for every worker count), and ``raf``/``maximize``/``matrix``
-accept ``--pool/--no-pool`` (+ ``--pool-budget N``) to reuse reverse
-samples across estimators through a shared sample pool (:mod:`repro.pool`).
+identical for every worker count), and ``matrix`` accepts
+``--pool/--no-pool`` (+ ``--pool-budget N``) to reuse reverse samples
+across its cells through a shared sample pool (:mod:`repro.pool`).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from repro.core.raf import RAFConfig, run_raf
 from repro.core.parameters import SamplePolicy
 from repro.core.vmax import compute_vmax
 from repro.diffusion.friending_process import estimate_acceptance_probability
-from repro.diffusion.engine import ENGINE_NAMES, create_engine
+from repro.diffusion.engine import ENGINE_NAMES
 from repro.exceptions import ReproError
 from repro.experiments.basic_experiment import format_basic_experiment, run_basic_experiment
 from repro.experiments.config import ExperimentConfig
@@ -76,13 +76,11 @@ from repro.graph.stream_compiler import WEIGHT_SCHEMES, compile_edge_list
 from repro.graph.metrics import average_degree
 from repro.graph.weights import apply_degree_normalized_weights
 from repro.experiments.records import to_jsonable
-from repro.parallel.engine import WORKERS_AUTO, maybe_parallel
-from repro.pool.sample_pool import SamplePool
+from repro.parallel.engine import WORKERS_AUTO
 from repro.service.loadgen import emit_load_report, run_load_benchmark
 from repro.service.query_service import QUERY_KINDS, QueryService
 from repro.service.server import DEFAULT_CONNECTION_WINDOW, serve_forever
 from repro.types import PairSpec, ordered
-from repro.utils.rng import derive_seed
 from repro.utils.tables import render_table
 
 __all__ = ["main", "build_parser"]
@@ -147,19 +145,6 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_pool_arguments(parser: argparse.ArgumentParser, default: bool, default_text: str) -> None:
-    parser.add_argument(
-        "--pool", action=argparse.BooleanOptionalAction, default=default,
-        help="reuse reverse samples across estimators through a shared sample "
-             f"pool (--no-pool disables; default: {default_text})",
-    )
-    parser.add_argument(
-        "--pool-budget", type=int, default=None, metavar="N",
-        help="cap on the total paths the pool keeps cached "
-             "(default: unbounded)",
-    )
-
-
 def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--source", type=int, default=None, help="initiator user id")
     parser.add_argument("--target", type=int, default=None, help="target user id")
@@ -219,8 +204,6 @@ def _register_algorithm_commands(subparsers) -> None:
                      help="Process-1 simulations used to evaluate the output")
     raf.add_argument("--compare-baselines", action="store_true",
                      help="also evaluate HD and SP at the same budget")
-    _add_pool_arguments(raf, default=False, default_text="off; pooled runs follow "
-                        "the pool's labeled streams, see DESIGN.md §4")
 
     vmax = subparsers.add_parser("vmax", help="compute the alpha = 1 solution (Lemma 7)")
     _add_graph_arguments(vmax)
@@ -232,7 +215,6 @@ def _register_algorithm_commands(subparsers) -> None:
     _add_engine_argument(maximize)
     maximize.add_argument("--budget", type=int, required=True, help="invitation budget")
     maximize.add_argument("--realizations", type=int, default=5000)
-    _add_pool_arguments(maximize, default=False, default_text="off")
 
 
 def _register_experiment_commands(subparsers) -> None:
@@ -294,8 +276,17 @@ def _register_experiment_commands(subparsers) -> None:
         help="recompute every cell instead of resuming from existing records",
     )
     _add_snapshot_argument(matrix)
-    _add_pool_arguments(matrix, default=True, default_text="on; records are "
-                        "byte-identical with --no-pool, only slower")
+    matrix.add_argument(
+        "--pool", action=argparse.BooleanOptionalAction, default=True,
+        help="reuse reverse samples across cells through a shared sample pool "
+             "(--no-pool disables; default: on; records are byte-identical "
+             "with --no-pool, only slower)",
+    )
+    matrix.add_argument(
+        "--pool-budget", type=int, default=None, metavar="N",
+        help="cap on the total paths the pool keeps cached "
+             "(default: unbounded)",
+    )
 
 
 def _register_serving_commands(subparsers) -> None:
@@ -523,8 +514,6 @@ def _command_raf(args: argparse.Namespace) -> int:
         fixed_realizations=args.realizations,
         engine=args.engine,
         workers=args.workers,
-        pool=args.pool,
-        pool_budget=args.pool_budget,
     )
     result = run_raf(problem, config, rng=args.seed)
     print(f"\nRAF invitation set ({result.size} users):")
@@ -564,17 +553,10 @@ def _command_vmax(args: argparse.Namespace) -> int:
 def _command_maximize(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     pair = _resolve_pair(graph, args)
-    pool = None
-    if args.pool:
-        pool = SamplePool(
-            maybe_parallel(create_engine(graph, args.engine), args.workers),
-            seed=derive_seed(args.seed, "cli-maximize-pool"),
-            budget=args.pool_budget,
-        )
     result = maximize_acceptance_probability(
         graph, pair.source, pair.target, budget=args.budget,
         num_realizations=args.realizations, rng=args.seed, engine=args.engine,
-        workers=args.workers, pool=pool,
+        workers=args.workers,
     )
     print(f"budgeted invitation set ({result.size} of at most {result.budget} users):")
     print("  " + ", ".join(str(node) for node in ordered(result.invitation)))

@@ -46,7 +46,7 @@ from repro.setcover.hypergraph import SetSystem
 from repro.setcover.msc import minimum_subset_cover
 from repro.setcover.mpu import chlamtac_ratio_bound
 from repro.types import NodeId
-from repro.utils.rng import RandomSource, derive_rng, derive_seed, ensure_rng
+from repro.utils.rng import RandomSource, derive_rng, ensure_rng
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import require, require_positive, require_positive_int
 
@@ -104,18 +104,6 @@ class RAFConfig:
         engine and count, closed when a run needs another key, and torn
         down at exit.  A forked child never uses its parent's pool; it
         forks its own.
-    pool:
-        When true, the run draws every reverse sample through a shared
-        :class:`~repro.pool.SamplePool` (seeded from the run's base
-        generator via ``derive_seed(rng, "raf-pool")``), so repeated runs
-        against the same pool -- e.g. query traffic for one (source,
-        target) pair -- reuse cached samples instead of re-drawing them.
-        Pooled runs are deterministic per seed and identical whether the
-        pool is warm or cold, but follow the pool's labeled streams rather
-        than the historical caller-rng stream (DESIGN.md §4).
-    pool_budget:
-        Optional cap on the total paths the pool keeps cached (least
-        recently used keys are evicted first).
     """
 
     epsilon: float = 0.01
@@ -130,8 +118,6 @@ class RAFConfig:
     msc_solver: str = "chlamtac"
     engine: str = "python"
     workers: int | str | None = None
-    pool: bool = False
-    pool_budget: int | None = None
 
     def __post_init__(self) -> None:
         require_positive(self.epsilon, "epsilon")
@@ -142,8 +128,6 @@ class RAFConfig:
             require(self.pmax_epsilon <= 1.0, "pmax_epsilon must be at most 1")
         if self.fixed_realizations is not None:
             require_positive_int(self.fixed_realizations, "fixed_realizations")
-        if self.pool_budget is not None:
-            require_positive_int(self.pool_budget, "pool_budget")
         require_engine_name(self.engine)
         resolve_worker_count(self.workers)
 
@@ -335,7 +319,6 @@ def run_raf(
     config: RAFConfig | None = None,
     rng: RandomSource = None,
     pool: "SamplePool | None" = None,
-    service=None,
 ) -> RAFResult:
     """Algorithm 4: the full RAF pipeline.
 
@@ -350,20 +333,12 @@ def run_raf(
         Seed or generator; the pmax-estimation and sampling steps receive
         independent streams derived from it.
     pool:
-        Optional shared :class:`~repro.pool.SamplePool` serving this run's
-        reverse samples.  Passing a long-lived pool across calls is how a
-        query server amortizes sampling over repeated (source, target)
-        traffic; with ``pool=None`` and ``config.pool`` set, a run-private
-        pool is created (seeded via ``derive_seed(rng, "raf-pool")``).
-    service:
-        Optional :class:`~repro.service.QueryService` execution backend
-        (mutually exclusive with ``pool``).  The run draws every reverse
-        sample from the service's shared pool, and the pmax step is
-        submitted *through* the service, so concurrent runs for the same
-        pair coalesce onto one stopping-rule execution.  Results are
-        byte-identical to a run against a standalone pool with the
-        service's seed; ``config.engine``/``config.workers``/``config.pool``
-        are ignored (the service owns the engine).
+        Optional caller-owned :class:`~repro.pool.SamplePool` serving this
+        run's reverse samples, passed straight to :func:`estimate_pmax` and
+        :func:`run_sampling_framework`.  Passing a long-lived pool across
+        calls is how repeated (source, target) traffic amortizes sampling;
+        pooled runs follow the pool's labeled streams rather than ``rng``
+        and are identical whether the pool is warm or cold (DESIGN.md §4).
 
     Returns
     -------
@@ -373,15 +348,6 @@ def run_raf(
         parameters and the ``2√|B¹|`` bound of Lemma 5).
     """
     config = config or RAFConfig()
-    if service is not None and pool is not None:
-        raise AlgorithmError(
-            "pass either a pool or a service, not both: a service brings its own pool"
-        )
-    if service is not None and service.graph is not problem.graph:
-        raise AlgorithmError(
-            "the service was built on a different graph than this problem; "
-            "every query a service answers runs against its own graph"
-        )
     base_rng = ensure_rng(rng)
     pmax_rng = derive_rng(base_rng, "raf-pmax")
     sampling_rng = derive_rng(base_rng, "raf-sampling")
@@ -390,17 +356,8 @@ def run_raf(
 
     # One engine over one compiled snapshot drives every randomized step;
     # with config.workers set, the process's shared worker pool drains all
-    # of them and stays warm for the next run on this snapshot.  A service
-    # supplies (and keeps owning) both the engine and the pool.
-    if service is not None:
-        pool = service.pool
-        engine = pool.engine
-    else:
-        engine = shared_engine(problem.compiled, config.engine, config.workers)
-        if pool is None and config.pool:
-            pool = SamplePool(
-                engine, seed=derive_seed(base_rng, "raf-pool"), budget=config.pool_budget
-            )
+    # of them and stays warm for the next run on this snapshot.
+    engine = shared_engine(problem.compiled, config.engine, config.workers)
 
     # Step 1: parameters (Eq. 17 / Equation System 1).
     parameters = solve_parameters(
@@ -410,31 +367,21 @@ def run_raf(
         coupling=config.coupling,
     )
 
-    # Step 2: estimate pmax (Alg. 2).  Submitted through the service
-    # when one is given, so identical concurrent runs coalesce.
+    # Step 2: estimate pmax (Alg. 2).
     pmax_epsilon = (
         config.pmax_epsilon if config.pmax_epsilon is not None else parameters.epsilon_zero
     )
-    if service is not None:
-        pmax = service.estimate_pmax(
-            problem.source,
-            problem.target,
-            epsilon=pmax_epsilon,
-            confidence_n=config.confidence_n,
-            max_samples=config.pmax_max_samples,
-        )
-    else:
-        pmax = estimate_pmax(
-            problem.graph,
-            problem.source,
-            problem.target,
-            epsilon=pmax_epsilon,
-            confidence_n=config.confidence_n,
-            max_samples=config.pmax_max_samples,
-            rng=pmax_rng,
-            engine=engine,
-            pool=pool,
-        )
+    pmax = estimate_pmax(
+        problem.graph,
+        problem.source,
+        problem.target,
+        epsilon=pmax_epsilon,
+        confidence_n=config.confidence_n,
+        max_samples=config.pmax_max_samples,
+        rng=pmax_rng,
+        engine=engine,
+        pool=pool,
+    )
 
     # Step 3: choose the realization count l.
     num_realizations = realization_count(
@@ -447,30 +394,16 @@ def run_raf(
         max_realizations=config.max_realizations,
     )
 
-    # Step 4: sampling framework + MSC (Alg. 3).  A service's pool is
-    # shared with concurrent query executions, so it is consumed under
-    # the service's execution lock.
-    if service is not None:
-        with service.locked_pool() as locked:
-            invitation, diagnostics = run_sampling_framework(
-                problem,
-                beta=parameters.beta,
-                num_realizations=num_realizations,
-                msc_solver=config.msc_solver,
-                rng=sampling_rng,
-                engine=engine,
-                pool=locked,
-            )
-    else:
-        invitation, diagnostics = run_sampling_framework(
-            problem,
-            beta=parameters.beta,
-            num_realizations=num_realizations,
-            msc_solver=config.msc_solver,
-            rng=sampling_rng,
-            engine=engine,
-            pool=pool,
-        )
+    # Step 4: sampling framework + MSC (Alg. 3).
+    invitation, diagnostics = run_sampling_framework(
+        problem,
+        beta=parameters.beta,
+        num_realizations=num_realizations,
+        msc_solver=config.msc_solver,
+        rng=sampling_rng,
+        engine=engine,
+        pool=pool,
+    )
 
     elapsed = stopwatch.stop()
     return RAFResult(

@@ -202,9 +202,11 @@ def estimate_pmax_fixed_samples(
 ) -> AcceptanceEstimate:
     """Estimate ``pmax = f(V)`` with a fixed sample count.
 
-    This is the estimator the experiment harness uses for pair selection
-    (pairs with ``pmax < 0.01`` are discarded, Sec. IV); the RAF algorithm
-    itself uses the Dagum et al. stopping rule instead.  With an ``engine``
+    ``f(V)`` evaluated like any invitation: by forward Process-1
+    simulation by default.  Pair selection screens with
+    :func:`repro.experiments.pair_selection.screen_pmax` (the type-1 rate
+    of reverse samples) and the RAF algorithm uses the Dagum et al.
+    stopping rule (:func:`repro.core.raf.estimate_pmax`).  With an ``engine``
     the estimate is the type-1 rate of reverse samples (every type-1 trace
     is covered by the full invitation ``V``, Corollary 2).
     """

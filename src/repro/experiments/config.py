@@ -61,12 +61,6 @@ class ExperimentConfig:
         Sampling worker processes used by the RAF runs (a positive integer
         or ``"auto"``; ``None`` keeps the single-stream path).  Seeded
         results are identical for every explicit worker count.
-    pool:
-        When true, RAF runs draw their reverse samples through a shared
-        :class:`~repro.pool.SamplePool` (see :class:`repro.core.raf.RAFConfig`),
-        reusing cached samples across the runs of one experiment.
-    pool_budget:
-        Optional cap on the total paths such a pool keeps cached.
     seed:
         Base seed controlling the whole experiment.
     """
@@ -83,8 +77,6 @@ class ExperimentConfig:
     realizations: int = 4_000
     engine: str = "python"
     workers: int | str | None = None
-    pool: bool = False
-    pool_budget: int | None = None
     seed: int = 2019
 
     def __post_init__(self) -> None:
@@ -108,8 +100,6 @@ class ExperimentConfig:
         require_positive(self.confidence_n, "confidence_n")
         require_engine_name(self.engine)
         resolve_worker_count(self.workers)
-        if self.pool_budget is not None:
-            require_positive_int(self.pool_budget, "pool_budget")
 
     def raf_config(self, alpha: float | None = None) -> RAFConfig:
         """Build the :class:`RAFConfig` used for one RAF run.
@@ -127,6 +117,4 @@ class ExperimentConfig:
             pmax_max_samples=max(10 * self.realizations, 50_000),
             engine=self.engine,
             workers=self.workers,
-            pool=self.pool,
-            pool_budget=self.pool_budget,
         )

@@ -7,7 +7,6 @@ from typing import Iterable, Sequence
 from repro.core.problem import ActiveFriendingProblem
 from repro.diffusion.engine import SamplingEngine
 from repro.diffusion.friending_process import estimate_acceptance_probability
-from repro.exceptions import ExperimentError
 from repro.graph.social_graph import SocialGraph
 from repro.pool.sample_pool import SamplePool
 from repro.types import NodeId
@@ -27,7 +26,6 @@ def evaluate_invitation(
     engine: "SamplingEngine | str | None" = None,
     workers: int | str | None = None,
     pool: "SamplePool | None" = None,
-    service=None,
 ) -> float:
     """Monte Carlo estimate of ``f(invitation)`` used throughout the harness.
 
@@ -37,20 +35,9 @@ def evaluate_invitation(
     estimator of Lemma 2, whose batches ``workers`` optionally fans over a
     worker pool.  A ``pool`` (:class:`~repro.pool.SamplePool`) serves the
     Lemma-2 traces from its cached evaluation stream, so scoring many
-    candidate invitations for one pair samples the paths once.  A
-    ``service`` (:class:`~repro.service.QueryService`) submits the
-    evaluation as a query instead, so identical concurrent evaluations
-    coalesce and every evaluation shares the service's warm pool
-    (``graph`` must be the service's graph; the other sampling arguments
-    are ignored -- the service owns engine, workers and streams).
+    candidate invitations for one pair samples the paths once.
     """
     require_positive_int(num_samples, "num_samples")
-    if service is not None:
-        if service.graph is not graph:
-            raise ExperimentError(
-                "the service was built on a different graph than the one being evaluated"
-            )
-        return service.evaluate(source, target, invitation, num_samples=num_samples).probability
     estimate = estimate_acceptance_probability(
         graph,
         source,
@@ -76,7 +63,6 @@ def growth_curve(
     engine: "SamplingEngine | str | None" = None,
     workers: int | str | None = None,
     pool: "SamplePool | None" = None,
-    service=None,
 ) -> list[tuple[int, float]]:
     """Grow a ranked invitation set until it matches a target probability.
 
@@ -93,19 +79,10 @@ def growth_curve(
     A ``pool`` makes the whole trajectory reuse one cached evaluation
     stream: every prefix is scored against the *same* traces (common random
     numbers -- the curve is monotone in the prefix by construction), and
-    only the first evaluation pays the sampling cost.  A ``service`` does
-    the same through its shared pool, additionally coalescing with any
-    identical evaluation traffic other callers submit concurrently.
+    only the first evaluation pays the sampling cost.
     """
     require_positive_int(num_samples, "num_samples")
     generator = ensure_rng(rng)
-    if service is not None:
-        engine = None
-        workers = None
-        pool = None
-    elif pool is not None:
-        engine = None
-        workers = None
     limit = len(ranking) if max_size is None else min(max_size, len(ranking))
     if limit == 0:
         return []
@@ -128,7 +105,6 @@ def growth_curve(
             engine=engine,
             workers=workers,
             pool=pool,
-            service=service,
         )
         trajectory.append((size, probability))
         if probability >= target_probability:

@@ -52,12 +52,12 @@ scenario-matrix cell) the inherited pool is disowned untouched -- neither
 dispatched to nor terminated -- and the child forks its own on first use.
 
 Who owns the engine decides when its pool dies.  A caller that builds one
-(:func:`maybe_parallel`: a server, the CLI's ``--pool``) closes it.  The
-one-shot entry points (``run_raf``, ``estimate_pmax``, the evaluation and
-screening helpers) get theirs from :func:`shared_engine` instead: one cached
-engine per process for the current (snapshot, engine, worker count), reused
-by every call with that key, retired -- its pool closed for good -- when
-the key changes, and torn down at exit.
+(:func:`maybe_parallel`: a query service, and so ``repro serve``) closes
+it.  The one-shot entry points (``run_raf``, ``estimate_pmax``, the
+evaluation and screening helpers) get theirs from :func:`shared_engine`
+instead: one cached engine per process for the current (snapshot, engine,
+worker count), reused by every call with that key, retired -- its pool
+closed for good -- when the key changes, and torn down at exit.
 
 Transport (DESIGN.md §7): every walk is a columnar
 :class:`~repro.diffusion.path_batch.PathBatch`; finished walks travel back

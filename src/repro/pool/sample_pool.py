@@ -128,9 +128,11 @@ STREAM_EVAL = "eval"
 #: Default cap on the number of cached keys.
 DEFAULT_MAX_TARGETS = 64
 
-#: Default caps on the reverse-reachability BFS that scopes invalidation
-#: after a graph mutation: at most this many levels / visited nodes before
-#: the delta is declared unbounded and the pool falls back to a full flush.
+#: Caps on the reverse-reachability BFS that scopes invalidation after a
+#: graph mutation (DESIGN.md §10): at most this many levels / visited nodes
+#: before the delta is declared unbounded and the pool falls back to a full
+#: flush.  Read at each sync; they trade sync-time CPU for retention and
+#: never affect results.
 DELTA_MAX_HOPS = 64
 DELTA_MAX_NODES = 4096
 
@@ -310,12 +312,6 @@ class SamplePool:
         ``False`` disables caching entirely: every request re-draws from
         the same canonical streams.  Results are bit-identical either way;
         only the sampling cost differs.
-    delta_hops, delta_nodes:
-        Caps on the reverse-reachability BFS that scopes invalidation
-        after a graph mutation (DESIGN.md §10).  When either cap is
-        exceeded the pool falls back to a full flush, so raising them
-        trades sync-time CPU for retention on large mutations; they never
-        affect results.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` injecting spill I/O
         errors (chaos testing).  Faults only ever make spills fail --
@@ -341,16 +337,12 @@ class SamplePool:
         budget: int | None = None,
         spill_dir: "str | Path | None" = None,
         reuse: bool = True,
-        delta_hops: int = DELTA_MAX_HOPS,
-        delta_nodes: int = DELTA_MAX_NODES,
         fault_plan: "FaultPlan | None" = None,
     ) -> None:
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise TypeError(f"seed must be an int, got {type(seed).__name__}")
         require_positive_int(chunk_size, "chunk_size")
         require_positive_int(max_targets, "max_targets")
-        require_positive_int(delta_hops, "delta_hops")
-        require_positive_int(delta_nodes, "delta_nodes")
         if budget is not None:
             require_positive_int(budget, "budget")
         self._engine = engine
@@ -360,8 +352,6 @@ class SamplePool:
         self._budget = budget
         self._spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._reuse = bool(reuse)
-        self._delta_hops = int(delta_hops)
-        self._delta_nodes = int(delta_nodes)
         self._entries: "OrderedDict[str, _PoolEntry]" = OrderedDict()
         self._snapshot = engine.compiled
         self._csr_digest = _csr_digest(self._snapshot)
@@ -561,7 +551,7 @@ class SamplePool:
         if not touched:
             return frozenset(), index_stable
         affected = reverse_reachable(
-            previous, touched, max_hops=self._delta_hops, max_nodes=self._delta_nodes
+            previous, touched, max_hops=DELTA_MAX_HOPS, max_nodes=DELTA_MAX_NODES
         )
         if affected is None:
             return None

@@ -318,7 +318,7 @@ def run_socket_load(
                 transcript = tuple(waves)
                 seconds = time.perf_counter() - start
                 # Metrics must be read before aclose() closes the service.
-                metrics = server.tenant_service().metrics()
+                metrics = server.service.metrics()
                 return transcript, seconds, metrics
             finally:
                 for _, writer in clients:

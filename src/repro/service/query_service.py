@@ -55,12 +55,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.core.maximization import MaxFriendingResult, maximize_acceptance_probability
-from repro.core.raf import PmaxEstimate, estimate_pmax
-from repro.diffusion.friending_process import (
-    AcceptanceEstimate,
-    estimate_acceptance_probability,
-)
+from repro.core.maximization import maximize_acceptance_probability
+from repro.core.raf import estimate_pmax
+from repro.diffusion.friending_process import estimate_acceptance_probability
 from repro.estimation.stopping_rule import stopping_rule_threshold
 from repro.experiments.records import to_jsonable
 from repro.exceptions import (
@@ -138,6 +135,11 @@ class EvaluateQuery:
     def __post_init__(self) -> None:
         _require_node_ids(self)
         if not isinstance(self.invitation, frozenset):
+            # Only a collection of node ids: frozenset("50") or of a JSON
+            # object would silently become a different invitation.
+            if not isinstance(self.invitation, (list, tuple, set)):
+                kind = type(self.invitation).__name__
+                raise TypeError(f"invitation must be a list of node ids, got {kind}")
             object.__setattr__(self, "invitation", frozenset(self.invitation))
         require_positive_int(self.num_samples, "num_samples")
 
@@ -460,25 +462,13 @@ class QueryService:
 
     @property
     def pool(self) -> SamplePool:
-        """The shared sample pool.
+        """The shared sample pool, for reading its stats and engine.
 
-        The pool is not thread-safe; while other callers may be submitting
-        queries, consume it through :meth:`locked_pool` (as
-        ``run_raf(..., service=svc)`` does) rather than directly.
+        The pool is not thread-safe and every execution mutates it under
+        the service's execution lock; draw from it only through
+        :meth:`submit` while other callers may be submitting queries.
         """
         return self._pool
-
-    @contextmanager
-    def locked_pool(self):
-        """The shared pool, held under the service's execution lock.
-
-        Serializes direct pool consumers (e.g. ``run_raf``'s sampling
-        framework) with the service's own query executions, so mixing
-        pipeline runs and query traffic over one service cannot corrupt the
-        pool's shared LRU/eviction state.
-        """
-        with self._pool_lock:
-            yield self._pool
 
     @property
     def coalesce(self) -> bool:
@@ -688,63 +678,6 @@ class QueryService:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self._ensure_executor(), contextvars.copy_context().run, self.submit, query
-        )
-
-    # ------------------------------------------------------------------ #
-    # Typed conveniences (the run_raf / harness execution backend)
-    # ------------------------------------------------------------------ #
-
-    def estimate_pmax(
-        self,
-        source: NodeId,
-        target: NodeId,
-        epsilon: float = 0.1,
-        confidence_n: float = 100_000.0,
-        max_samples: int = 500_000,
-    ) -> PmaxEstimate:
-        """Submit a :class:`PmaxQuery` and return its :class:`PmaxEstimate`."""
-        return self.submit(
-            PmaxQuery(
-                source=source,
-                target=target,
-                epsilon=epsilon,
-                confidence_n=confidence_n,
-                max_samples=max_samples,
-            )
-        )
-
-    def evaluate(
-        self,
-        source: NodeId,
-        target: NodeId,
-        invitation: Iterable[NodeId],
-        num_samples: int = 400,
-    ) -> AcceptanceEstimate:
-        """Submit an :class:`EvaluateQuery` and return its estimate."""
-        return self.submit(
-            EvaluateQuery(
-                source=source,
-                target=target,
-                invitation=frozenset(invitation),
-                num_samples=num_samples,
-            )
-        )
-
-    def maximize(
-        self,
-        source: NodeId,
-        target: NodeId,
-        budget: int,
-        num_realizations: int = 2_000,
-    ) -> MaxFriendingResult:
-        """Submit a :class:`MaximizeQuery` and return its result."""
-        return self.submit(
-            MaximizeQuery(
-                source=source,
-                target=target,
-                budget=budget,
-                num_realizations=num_realizations,
-            )
         )
 
     # ------------------------------------------------------------------ #

@@ -369,9 +369,9 @@ class QueryServer:
     # Introspection
     # ------------------------------------------------------------------ #
 
-    def tenant_service(self, name: str = "default") -> QueryService:
-        """The server's one service, which the named tenant (created lazily) uses."""
-        self._tenant(name)
+    @property
+    def service(self) -> QueryService:
+        """The one service every tenant's queries run on."""
         return self._service
 
     def stats(self) -> dict:

@@ -247,36 +247,31 @@ class TestEstimatePmaxValidation:
             evaluate_invitation(chain_graph, "s", "t", ["a"], num_samples=0, rng=1)
 
 
-class TestRAFConfigPool:
-    def test_pool_knobs_validate(self):
-        RAFConfig(pool=True, pool_budget=1000)
-        with pytest.raises(ValueError):
-            RAFConfig(pool_budget=0)
-
+class TestRunRafPool:
     def test_pooled_run_is_deterministic_and_warm_equals_cold(self, ba_problem):
         from repro.diffusion.engine import create_engine
         from repro.pool import SamplePool
-
-        config = RAFConfig(
-            sample_policy=SamplePolicy.FIXED, fixed_realizations=800,
-            pmax_max_samples=30_000, epsilon=0.05, pool=True,
-        )
-        first = run_raf(ba_problem, config, rng=5)
-        second = run_raf(ba_problem, config, rng=5)
-        assert first.invitation == second.invitation
-        assert first.pmax_estimate == second.pmax_estimate
 
         # An external pool: the second identical query draws nothing new,
         # and returns exactly what the cold query returned.
         engine = create_engine(ba_problem.compiled, "python")
         shared = SamplePool(engine, seed=123)
-        no_pool_config = RAFConfig(
+        config = RAFConfig(
             sample_policy=SamplePolicy.FIXED, fixed_realizations=800,
             pmax_max_samples=30_000, epsilon=0.05,
         )
-        cold = run_raf(ba_problem, no_pool_config, rng=5, pool=shared)
+        cold = run_raf(ba_problem, config, rng=5, pool=shared)
         drawn = shared.stats().drawn_paths
-        warm = run_raf(ba_problem, no_pool_config, rng=5, pool=shared)
+        warm = run_raf(ba_problem, config, rng=5, pool=shared)
         assert warm.invitation == cold.invitation
         assert warm.pmax_estimate == cold.pmax_estimate
         assert shared.stats().drawn_paths == drawn
+        # Pooled runs follow the pool's streams, not the caller's rng.
+        other_seed = run_raf(ba_problem, config, rng=6, pool=shared)
+        assert other_seed.invitation == cold.invitation
+        assert other_seed.pmax_samples == cold.pmax_samples
+        assert shared.stats().drawn_paths == drawn
+        # A fresh pool with the same seed answers exactly as the warm one.
+        fresh = run_raf(ba_problem, config, rng=5, pool=SamplePool(engine, seed=123))
+        assert fresh.invitation == cold.invitation
+        assert fresh.pmax_estimate == cold.pmax_estimate

@@ -52,6 +52,31 @@ class TestGrowthCurve:
                                   size_step=1, max_size=2, rng=7)
         assert trajectory[-1][0] <= 2
 
+    def test_pooled_curve_scores_every_prefix_on_one_stream(self, diamond_graph):
+        """With a pool, every prefix is scored against the same cached traces:
+        the curve equals per-prefix pooled evaluations, and only the first
+        evaluation draws."""
+        from repro.diffusion.engine import create_engine
+        from repro.pool import SamplePool
+
+        problem = ActiveFriendingProblem(diamond_graph, "s", "t", alpha=0.5)
+        ranking = ["t", "x1", "x2"]
+        pool = SamplePool(create_engine(diamond_graph, "python"), seed=11)
+        trajectory = growth_curve(problem, ranking, 0.99, num_samples=300, size_step=1,
+                                  rng=8, pool=pool)
+        stats = pool.stats()
+        reference = SamplePool(create_engine(diamond_graph, "python"), seed=11)
+        assert trajectory == [
+            (size, evaluate_invitation(diamond_graph, "s", "t", ranking[:size],
+                                       num_samples=300, rng=9, pool=reference))
+            for size in (1, 2, 3)
+        ]
+        # One chunk drawn, served once per prefix.
+        assert stats.drawn_paths == reference.stats().drawn_paths == pool.chunk_size
+        assert stats.served_paths == 3 * 300
+        probabilities = [probability for _, probability in trajectory]
+        assert probabilities == sorted(probabilities)
+
 
 class TestReporting:
     def test_format_table_alignment_and_title(self):

@@ -20,7 +20,7 @@ from repro.graph.generators import barabasi_albert_graph
 from repro.graph.social_graph import SocialGraph
 from repro.graph.weights import apply_degree_normalized_weights
 from repro.parallel.engine import ParallelEngine
-from repro.pool import STREAM_PMAX, SamplePool
+from repro.pool import STREAM_PMAX, SamplePool, sample_pool
 
 
 def two_region_graph(main_n=80, side_n=20):
@@ -134,11 +134,10 @@ class TestFullFlushFallbacks:
         stats = pool.stats()
         assert stats.keys == 0 and stats.flushed_keys == 1
 
-    def test_bfs_cap_overrun_flushes_everything(self):
+    def test_bfs_cap_overrun_flushes_everything(self, monkeypatch):
+        monkeypatch.setattr(sample_pool, "DELTA_MAX_NODES", 2)
         graph = two_region_graph()
-        pool = SamplePool(
-            create_engine(graph, "python"), seed=9, chunk_size=16, delta_nodes=2
-        )
+        pool = SamplePool(create_engine(graph, "python"), seed=9, chunk_size=16)
         stop = graph.neighbor_set(0)
         pool.paths(40, stop, 16, STREAM_PMAX)
         side_arrival(graph, rng_pair=(85, 95))  # side closure > 2 nodes

@@ -132,6 +132,8 @@ class TestServeMalformedRequests:
             ('{"op": "pmax", "bogus_field": 1}', "bogus_field"),
             ('{"op": "pmax", "source": [0], "target": 50}', "source must be a node id"),
             ('{"op": "maximize", "source": 0, "target": {"id": 50}}', "target must be a node id"),
+            ('{"op": "evaluate", "source": 0, "target": 50, "invitation": "50"}',
+             "invitation must be a list"),
         ],
     )
     def test_malformed_request_exits_nonzero_with_diagnostic(

@@ -96,8 +96,8 @@ class TestBitIdentity:
     def test_pmax_matches_direct_library_call(self, service_graph, hot_pair):
         source, target = hot_pair
         with QueryService(service_graph, seed=POOL_SEED) as service:
-            served = service.estimate_pmax(
-                source, target, epsilon=0.3, confidence_n=100.0, max_samples=30_000
+            served = service.submit(
+                PmaxQuery(source, target, epsilon=0.3, confidence_n=100.0, max_samples=30_000)
             )
         pool = SamplePool(create_engine(service_graph, "python"), seed=POOL_SEED)
         direct = estimate_pmax(
@@ -492,6 +492,13 @@ class TestQueryValidation:
         assert EvaluateQuery(0, 1, invitation=[3, 2, 3]) == EvaluateQuery(
             0, 1, invitation=frozenset({2, 3})
         )
+        assert EvaluateQuery(0, 1, invitation=(3, 2)).invitation == frozenset({2, 3})
+        assert EvaluateQuery(0, 1, invitation={3}).invitation == frozenset({3})
+
+    @pytest.mark.parametrize("invitation", ["50", {"50": 1}, 50, None, iter([50])])
+    def test_non_collection_invitation_rejected(self, invitation):
+        with pytest.raises(TypeError, match="invitation must be a list of node ids"):
+            EvaluateQuery(0, 50, invitation=invitation)
 
 
 _STREAMS = {"pmax": STREAM_PMAX, "evaluate": STREAM_EVAL, "maximize": STREAM_REALIZATIONS}
@@ -592,7 +599,7 @@ class TestDrawFree:
         query = EvaluateQuery(source, target, num_samples=100)
         service = QueryService(service_graph, engine=numpy_engine, seed=POOL_SEED)
         service.submit(query)
-        with service.locked_pool():
+        with service._pool_lock:
             assert not service.draw_free(query)
         assert service.draw_free(query)
 

@@ -267,6 +267,9 @@ class TestJsonlProtocol:
             b'{"op": "evaluate", "source": {}, "target": 2}\n',
             b'{"op": "maximize", "source": 1, "target": [2, 3]}\n',
             b'{"op": "evaluate", "source": 1, "target": 2, "invitation": [[3]]}\n',
+            b'{"op": "evaluate", "source": 0, "target": 50, "invitation": "50"}\n',
+            b'{"op": "evaluate", "source": 0, "target": 50, "invitation": {"50": 1}}\n',
+            b'{"op": "evaluate", "source": 0, "target": 50, "invitation": 50}\n',
         ],
     )
     def test_malformed_requests_answer_then_close(self, service_graph, line):
@@ -371,6 +374,20 @@ class TestHttp:
         assert status == 400
         assert document["ok"] is False and document["error_type"] == "malformed"
         assert served_status == 200  # the server keeps answering
+        assert stats["server"]["malformed_total"] == 1
+
+    def test_non_list_invitation_answers_400(self, service_graph):
+        """A string invitation is not iterated into characters and answered."""
+        body = {"op": "evaluate", "source": 0, "target": 50, "invitation": "50"}
+
+        async def main():
+            async with QueryServer(service_graph, seed=POOL_SEED) as server:
+                return await _http(server, "POST", "/query", body), server.stats()
+
+        (status, document), stats = run(main())
+        assert status == 400
+        assert document["ok"] is False and document["error_type"] == "malformed"
+        assert "invitation must be a list" in document["error"]
         assert stats["server"]["malformed_total"] == 1
 
     def test_budget_exhaustion_maps_to_429(self, service_graph, wire_queries):
@@ -568,7 +585,7 @@ class TestLifecycle:
 
         async def main():
             async with QueryServer(service_graph, engine=engine, seed=POOL_SEED) as server:
-                assert server.tenant_service("a").pool.engine is engine
+                assert server.service.pool.engine is engine
                 return engine._worker_pids()  # forked by start()
 
         try:
@@ -586,7 +603,7 @@ class TestLifecycle:
             server = QueryServer(service_graph, seed=POOL_SEED, workers=2, port=port)
             with pytest.raises(OSError):
                 run(server.start())
-        assert server.tenant_service().pool.engine._worker_pids() == frozenset()
+        assert server.service.pool.engine._worker_pids() == frozenset()
 
     def test_serve_forever_announces_and_reports_on_cancel(self, service_graph):
         async def main():
@@ -654,7 +671,8 @@ class TestDegradedMode:
         async def main():
             async with QueryServer(service_graph, seed=POOL_SEED, workers=2) as server:
                 _, before = await _http(server, "GET", "/healthz")
-                service = server.tenant_service("default")
+                server._tenant("default")  # noqa: SLF001 - a tenant row for /stats
+                service = server.service
                 engine = service.pool.engine
                 assert service.degraded is False
                 # Exhaust the retry budget for real: every dispatched walk
@@ -694,8 +712,9 @@ class TestDegradedMode:
                 )
                 engine.inject_faults(None)
                 untenanted = server.health()
-                assert server.tenant_service("a").pool.engine is engine
-                server.tenant_service("b")
+                assert server.service.pool.engine is engine
+                server._tenant("a")  # noqa: SLF001 - tenants created after the downgrade
+                server._tenant("b")  # noqa: SLF001
                 _, stats = await _http(server, "GET", "/stats")
                 return untenanted, stats
 
@@ -716,9 +735,9 @@ class TestDegradedMode:
             async with QueryServer(
                 service_graph, seed=POOL_SEED, workers=2, fault_plan=plan
             ) as server:
-                return {server.tenant_service(name).pool.engine for name in ("a", "b")}
+                return server.service.pool.engine
 
-        (engine,) = run(main())
+        engine = run(main())
         assert engine._fault_plan is plan
 
     def test_fault_plan_threads_through_to_tenant_services(self, service_graph):
@@ -730,8 +749,7 @@ class TestDegradedMode:
             async with QueryServer(
                 service_graph, seed=POOL_SEED, fault_plan=plan
             ) as server:
-                service = server.tenant_service("default")
-                return service.pool
+                return server.service.pool
 
         pool = run(main())
         assert pool._fault_plan is plan
@@ -790,7 +808,7 @@ class CountingExecutor(ThreadPoolExecutor):
 def _count_executions(server: QueryServer) -> CountingExecutor:
     """Install a counting executor on the server's one service."""
     executor = CountingExecutor()
-    server.tenant_service()._executor = executor
+    server.service._executor = executor
     return executor
 
 
@@ -814,7 +832,7 @@ class TestDrawFreeAnswers:
         async def main():
             async with QueryServer(service_graph, seed=POOL_SEED) as server:
                 for query in (pmax, evaluate):
-                    server.tenant_service("warm").submit(query)
+                    server.service.submit(query)
                 executor = _count_executions(server)
                 reader, writer = await _connect(server)
                 writer.write(b"".join(
@@ -860,7 +878,7 @@ class TestDrawFreeAnswers:
 
         async def main():
             async with QueryServer(service_graph, seed=POOL_SEED) as server:
-                server.tenant_service().submit(query)
+                server.service.submit(query)
                 streams = await _connect(server)
                 # A deadline no executor hop could meet: a hit has no hop.
                 response = await _rpc(streams, {**query_to_wire(query), "deadline_ms": 1e-9})

@@ -86,12 +86,10 @@ class TestSharedInstance:
                     _rpc(server, {**query_to_wire(query), "tenant": f"t{index}"})
                     for index, query in enumerate(queries)
                 ))
-                services = {server.tenant_service(f"t{index}") for index in range(8)}
-                return responses, services
+                return responses, server.service
 
-        responses, services = run(main())
-        assert len(services) == 1  # one service, one pool ...
-        assert {service.pool.engine for service in services} == {engine}  # ... one engine
+        responses, service = run(main())
+        assert service.pool.engine is engine  # one service, one pool, one engine
         assert all(response["ok"] for response in responses), responses
         differing = [
             query for query, response in zip(queries, responses)
@@ -135,7 +133,7 @@ class TestOnePool:
                 for tenant, query in schedule:
                     responses.append(await _rpc(server, {**query_to_wire(query),
                                                          "tenant": tenant}))
-                return responses, server.stats(), server.tenant_service().pool.drawn_paths
+                return responses, server.stats(), server.service.pool.drawn_paths
 
         responses, stats, drawn = run(main())
         expected = {query: run_standalone(service_graph, query, POOL_SEED) for query in queries}
@@ -257,13 +255,13 @@ class TestOneWorkerPool:
                     for name in tenants[1:]
                 ]
                 after_sixteen = _children() - earlier
-                engines = {server.tenant_service(name).pool.engine for name in tenants}
+                pids = server.service.pool.engine._worker_pids()
             finally:
                 await server.aclose()
-            return forked, after_one, after_sixteen, answers, engines, _children() - earlier
+            return forked, after_one, after_sixteen, answers, pids, _children() - earlier
 
-        forked, after_one, after_sixteen, answers, engines, after_close = run(main())
-        assert len(engines) == 1
+        forked, after_one, after_sixteen, answers, pids, after_close = run(main())
+        assert pids == forked  # every tenant's answer came from the pool start() forked
         assert len(forked) == 2
         assert after_one == after_sixteen == forked
         assert all(answer["ok"] for answer in answers)

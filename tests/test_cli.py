@@ -57,6 +57,16 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["raf", "--workers", value])
 
+    @pytest.mark.parametrize("command", [["raf"], ["maximize", "--budget", "3"]])
+    @pytest.mark.parametrize("flag", [["--pool"], ["--no-pool"], ["--pool-budget", "100"]])
+    def test_pool_flags_are_matrix_only(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(command + flag)
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        args = build_parser().parse_args(["matrix"] + flag)
+        assert args.pool is (flag != ["--no-pool"])
+
     def test_matrix_defaults(self):
         args = build_parser().parse_args(["matrix"])
         assert args.datasets == "wiki,hepth"
@@ -186,6 +196,17 @@ class TestMatrixCommand:
         out = tmp_path / "records"
         assert main(self._ARGS + ["--output", str(out), "--workers", "2"]) == 0
         assert "Scenario matrix" in capsys.readouterr().out
+
+    def test_no_pool_runs_and_writes_the_pooled_records(self, capsys, tmp_path):
+        pooled, unpooled = tmp_path / "pooled", tmp_path / "unpooled"
+        assert main(self._ARGS + ["--output", str(pooled)]) == 0
+        assert main(self._ARGS + ["--output", str(unpooled), "--no-pool"]) == 0
+        assert "2 computed" in capsys.readouterr().out
+        records = sorted(path.name for path in pooled.glob("*.json"))
+        assert records == sorted(path.name for path in unpooled.glob("*.json"))
+        assert len(records) == 2
+        for name in records:
+            assert (pooled / name).read_bytes() == (unpooled / name).read_bytes()
 
     def test_bad_budgets_reported(self, capsys, tmp_path):
         code = main(["matrix", "--budgets", "three", "--output", str(tmp_path / "r")])
